@@ -39,6 +39,7 @@ use sketch_gpu_sim::{Device, KernelCost};
 use sketch_la::{Layout, Matrix, MatrixViewMut};
 use sketch_rng::fill;
 use sketch_sparse::{spmm, CooMatrix, CsrMatrix};
+use std::ops::Range;
 
 /// Extra read factor charged when the kernel must stream a column-major `A` row-wise
 /// (uncoalesced reads); the row-major layout recommended by Section 6.1 avoids it.
@@ -144,9 +145,41 @@ impl CountSketch {
         )
     }
 
-    /// Record the cost of one Algorithm-2 style application to a `d x n` operand.
-    fn record_apply_cost(&self, device: &Device, ncols: usize, col_major_input: bool) {
-        device.record(Self::apply_cost(self.d, self.k, ncols, col_major_input));
+    /// Add the contributions of input rows `rows` of the whole operand `a` into
+    /// `out` — `out += S[:, rows] · A[rows, :]` — and return the modelled cost of
+    /// that slice's Algorithm-2 scatter (unrecorded: the caller charges it).
+    ///
+    /// Every output cell folds its contributions in ascending input-row order, so
+    /// contiguous ranges added in ascending order into one zeroed accumulator
+    /// reproduce [`SketchOperator::apply_into`] bit for bit.  This is the
+    /// row-shard kernel of the multi-device executor; `apply_into` itself is
+    /// "zero, then add rows `0..d`".
+    ///
+    /// # Panics
+    /// Panics if `rows` reaches past the operand or the sketch's input
+    /// dimension, or if `out` is not `k x a.ncols()`.
+    pub fn accumulate_rows(
+        &self,
+        a: Operand<'_>,
+        rows: Range<usize>,
+        out: &mut MatrixViewMut<'_>,
+    ) -> KernelCost {
+        assert!(
+            out.nrows() == self.k && out.ncols() == a.ncols(),
+            "accumulator must be {}x{}",
+            self.k,
+            a.ncols()
+        );
+        let (targets, signs) = (&self.rows, &self.signs);
+        scatter_rows_into(rows.clone(), out, a, |j| {
+            (targets[j], if signs[j] { 1.0 } else { -1.0 })
+        });
+        let (d, k) = (rows.len(), self.k);
+        match a {
+            Operand::Dense(m) => Self::apply_cost(d, k, m.ncols(), m.layout() == Layout::ColMajor),
+            Operand::Csr(s) => Self::apply_cost_csr(d, k, s.ncols(), s.slice_rows(rows).nnz()),
+            Operand::CsrRows(v) => Self::apply_cost_csr(d, k, v.ncols(), v.slice_rows(rows).nnz()),
+        }
     }
 
     /// Atomics-free ablation: invert the row map once, then let each *output* row gather
@@ -248,32 +281,39 @@ fn invert_row_map(k: usize, targets: &[usize]) -> (Vec<usize>, Vec<usize>) {
 }
 
 /// Shared Algorithm-2 scatter used by both the explicit and the hash-based operator:
-/// zero `out`, then add `sign(j) * A[j, :]` into row `row_of(j)` of `out`.
+/// add `sign(j) * A[j, :]` into row `row_of(j)` of `out` for every `j` in `rows`.
+/// `out` is an accumulator — callers zero it first when they want `S A`.
 ///
 /// On the GPU this is the atomic scatter of Algorithm 2 (and the cost model
 /// charges it as such); on the host the row map is inverted first and every
 /// *output* row gathers its inputs in ascending `j`.  Disjoint output rows make
 /// the parallel loop scheduling-order-immune, and the ascending fold reproduces
 /// the serial scatter's per-cell accumulation order — so the result is
-/// bit-for-bit identical for 1 or N threads.
+/// bit-for-bit identical for 1 or N threads, and for any split of `0..d` into
+/// contiguous ranges added in ascending order.
 fn scatter_rows_into(
-    d: usize,
+    rows: Range<usize>,
     out: &mut MatrixViewMut<'_>,
     a: Operand<'_>,
     target_of: impl Fn(usize) -> (usize, f64) + Sync,
 ) {
     let n = a.ncols();
     let k = out.nrows();
-    out.fill(0.0);
     if out.layout() == Layout::RowMajor {
-        let targets: Vec<usize> = (0..d).map(|j| target_of(j).0).collect();
+        let targets: Vec<usize> = rows.clone().map(|j| target_of(j).0).collect();
         let (counts, members) = invert_row_map(k, &targets);
+        // Bucket members are offsets into `rows`, still in ascending order.
+        let inputs = |r: usize| {
+            members[counts[r]..counts[r + 1]]
+                .iter()
+                .map(|&m| rows.start + m)
+        };
         let data = out.as_mut_slice();
         match a {
             Operand::Dense(m) if m.layout() == Layout::RowMajor => {
                 let a_data = m.as_slice();
                 data.par_chunks_mut_outer(n, |r, out_row| {
-                    for &j in &members[counts[r]..counts[r + 1]] {
+                    for j in inputs(r) {
                         let (_, sign) = target_of(j);
                         let row = &a_data[j * n..(j + 1) * n];
                         for (slot, &v) in out_row.iter_mut().zip(row) {
@@ -284,7 +324,7 @@ fn scatter_rows_into(
             }
             Operand::Dense(m) => {
                 data.par_chunks_mut_outer(n, |r, out_row| {
-                    for &j in &members[counts[r]..counts[r + 1]] {
+                    for j in inputs(r) {
                         let (_, sign) = target_of(j);
                         for (c, slot) in out_row.iter_mut().enumerate() {
                             *slot += sign * m.get(j, c);
@@ -294,7 +334,7 @@ fn scatter_rows_into(
             }
             Operand::Csr(s) => {
                 data.par_chunks_mut_outer(n, |r, out_row| {
-                    for &j in &members[counts[r]..counts[r + 1]] {
+                    for j in inputs(r) {
                         let (_, sign) = target_of(j);
                         for (c, v) in s.row(j) {
                             out_row[c] += sign * v;
@@ -304,7 +344,7 @@ fn scatter_rows_into(
             }
             Operand::CsrRows(v) => {
                 data.par_chunks_mut_outer(n, |r, out_row| {
-                    for &j in &members[counts[r]..counts[r + 1]] {
+                    for j in inputs(r) {
                         let (_, sign) = target_of(j);
                         for (c, val) in v.row(j) {
                             out_row[c] += sign * val;
@@ -318,7 +358,7 @@ fn scatter_rows_into(
         // slices, so keep the serial ascending-j scatter (identical fold order).
         match a {
             Operand::Dense(m) => {
-                for j in 0..d {
+                for j in rows {
                     let (target, sign) = target_of(j);
                     for c in 0..n {
                         out.add_to(target, c, sign * m.get(j, c));
@@ -326,7 +366,7 @@ fn scatter_rows_into(
                 }
             }
             Operand::Csr(s) => {
-                for j in 0..d {
+                for j in rows {
                     let (target, sign) = target_of(j);
                     for (c, v) in s.row(j) {
                         out.add_to(target, c, sign * v);
@@ -334,7 +374,7 @@ fn scatter_rows_into(
                 }
             }
             Operand::CsrRows(v) => {
-                for j in 0..d {
+                for j in rows {
                     let (target, sign) = target_of(j);
                     for (c, val) in v.row(j) {
                         out.add_to(target, c, sign * val);
@@ -373,22 +413,8 @@ impl SketchOperator for CountSketch {
     ) -> Result<(), Error> {
         self.check_operand(&a)?;
         self.check_output(out, a.ncols())?;
-        let rows = &self.rows;
-        let signs = &self.signs;
-        scatter_rows_into(self.d, out, a, |j| {
-            (rows[j], if signs[j] { 1.0 } else { -1.0 })
-        });
-        match a {
-            Operand::Dense(m) => {
-                self.record_apply_cost(device, m.ncols(), m.layout() == Layout::ColMajor);
-            }
-            Operand::Csr(s) => {
-                device.record(Self::apply_cost_csr(self.d, self.k, s.ncols(), s.nnz()));
-            }
-            Operand::CsrRows(v) => {
-                device.record(Self::apply_cost_csr(self.d, self.k, v.ncols(), v.nnz()));
-            }
-        }
+        out.fill(0.0);
+        device.record(self.accumulate_rows(a, 0..self.d, out));
         Ok(())
     }
 
@@ -496,7 +522,8 @@ impl SketchOperator for HashCountSketch {
     ) -> Result<(), Error> {
         self.check_operand(&a)?;
         self.check_output(out, a.ncols())?;
-        scatter_rows_into(self.d, out, a, |j| self.hash(j));
+        out.fill(0.0);
+        scatter_rows_into(0..self.d, out, a, |j| self.hash(j));
         let d = self.d as u64;
         let k = self.k as u64;
         match a {
@@ -643,6 +670,47 @@ mod tests {
         cs.apply_into(&d, Operand::Dense(&a), &mut out.view_mut())
             .unwrap();
         assert_eq!(out.as_slice(), y.as_slice());
+    }
+
+    #[test]
+    fn ascending_row_ranges_accumulate_to_apply_into_bit_for_bit() {
+        let d = device();
+        let a = Matrix::random_gaussian(301, 5, Layout::RowMajor, 12, 0);
+        let a_cm = a.to_layout(&d, Layout::ColMajor);
+        let sparse = csr_of(&a);
+        let cs = CountSketch::generate(&d, 301, 24, 13);
+        for operand in [
+            Operand::Dense(&a),
+            Operand::Dense(&a_cm),
+            Operand::Csr(&sparse),
+            Operand::CsrRows(sparse.slice_rows(0..301)),
+        ] {
+            for layout in [Layout::RowMajor, Layout::ColMajor] {
+                let mut whole = Matrix::zeros_with_layout(24, 5, layout);
+                let (applied, recorded) = d
+                    .tracker()
+                    .measure(|| cs.apply_into(&d, operand, &mut whole.view_mut()));
+                applied.unwrap();
+                let mut acc = Matrix::zeros_with_layout(24, 5, layout);
+                for range in [0..100, 100..100, 100..101, 101..301] {
+                    cs.accumulate_rows(operand, range, &mut acc.view_mut());
+                }
+                let bits =
+                    |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&acc),
+                    bits(&whole),
+                    "{} into {layout:?}",
+                    operand.describe()
+                );
+                // The whole range costs exactly what apply_into records.
+                let mut scratch = Matrix::zeros_with_layout(24, 5, layout);
+                assert_eq!(
+                    cs.accumulate_rows(operand, 0..301, &mut scratch.view_mut()),
+                    recorded
+                );
+            }
+        }
     }
 
     #[test]

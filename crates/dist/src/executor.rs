@@ -24,27 +24,32 @@
 //!    [`PipelinedRun`] reports serial vs. pipelined makespan, the compute-only
 //!    critical path, overlap efficiency and per-device utilization.
 //!
-//! The executor also absorbs injected device deaths
-//! ([`FaultSpec::Dies`](sketch_gpu_sim::FaultSpec::Dies)): a mirror of the
-//! stream-simulator clocks runs alongside the numerics, so the exact simulated
-//! instant a death fires is known mid-stage; the stage is then rescheduled over
-//! the survivors and re-run from its Philox-seeded operators — bit-for-bit
-//! identical output, because every stage is schedule-independent by
-//! construction.  The aborted attempt's truncated operations stay on the
-//! timeline, and the price paid is itemised in [`FaultReport`].
+//! The modelled clock is one live [`StreamSet`]: every shard kernel and
+//! collective is enqueued on it as the shard executes (and traced through the
+//! pool's recorder), so the timeline needs no replay.  That same clock absorbs
+//! injected device deaths ([`FaultSpec::Dies`](sketch_gpu_sim::FaultSpec::Dies)):
+//! before an operation is enqueued, its end is checked against the device's
+//! death instant; the first operation that would outlive the device is enqueued
+//! cut off at that instant, and the stage is rescheduled over the survivors and
+//! re-run from its Philox-seeded operators — bit-for-bit identical output,
+//! because every stage is schedule-independent by construction.  The aborted
+//! attempt's truncated operations stay on the timeline, and the price paid is
+//! itemised in [`FaultReport`].  Only the what-if makespans (compute-only and
+//! successful-episodes-only) replay the recorded episodes, untraced.
 
 use crate::comm::CommCost;
 use crate::error::DistError;
 use sketch_core::{CountSketch, Error, Operand, Pipeline, ShardAxis, SketchKind, SketchOperator};
-use sketch_gpu_sim::{DevicePool, KernelCost, StreamKind, StreamSet, Timeline};
-use sketch_la::{Layout, Matrix};
+use sketch_gpu_sim::{
+    Device, DeviceFailed, DevicePool, Event, KernelCost, StreamKind, StreamSet, Timeline,
+};
+use sketch_la::{Layout, Matrix, MatrixViewMut};
 use std::ops::Range;
 
-/// Tuning knobs for the executor.
+/// Tuning knobs for the executor — today only the shard granularity.
 ///
 /// `#[non_exhaustive]`: construct through [`ExecutorOptions::new`] /
-/// [`Default::default`] and the `with_*` builders, so future knobs (stream
-/// counts, shard-size floors, …) are non-breaking.
+/// [`Default::default`] and [`ExecutorOptions::with_shards_per_device`].
 #[must_use = "ExecutorOptions configures an executor run; pass it to pipelined_sketch"]
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,22 +152,6 @@ impl Schedule {
             .filter(|a| a.device == device)
             .count()
     }
-}
-
-/// Modelled work of one shard, fed to the stream simulator.
-#[derive(Debug, Clone)]
-struct ShardOp {
-    device: usize,
-    label: String,
-    compute_s: f64,
-    comm_s: f64,
-    /// Whether the shard's collective must follow the previous shard's collective
-    /// (the ordered ring fold of [`ShardAxis::Rows`] stages).
-    chained: bool,
-    /// Device cost of the shard kernel (carried into the trace event).
-    cost: KernelCost,
-    /// Bytes the shard's collective moves over one interconnect hop.
-    comm_bytes: u64,
 }
 
 /// One observed device death and the recovery that absorbed it.
@@ -317,10 +306,11 @@ impl PipelinedRun {
 ///
 /// `a` is any [`Operand`]-viewable input — `&Matrix`, `&CsrMatrix`, a
 /// [`CsrRowsView`](sketch_sparse::CsrRowsView) or an explicit [`Operand`] —
-/// so the same engine serves dense and sparse workloads.  Row-sharded stages
-/// slice CSR operands with the zero-copy [`Operand::slice_rows`] view;
-/// column-sharded stages materialise CSC-style panels via
-/// [`Operand::slice_cols`], charging the copy to the shard's device.
+/// so the same engine serves dense and sparse workloads.  Row shards read
+/// their rows of the whole operand in place through
+/// [`CountSketch::accumulate_rows`]; column-sharded stages materialise
+/// CSC-style panels of CSR operands once per attempt, charging the cut to
+/// every live device.
 ///
 /// The numerical result is **bit-for-bit identical** to
 /// `plan.build_for(device, a.ncols())?.apply_operand(device, a)` on a single
@@ -331,7 +321,7 @@ impl PipelinedRun {
 ///
 /// On a pool of one ([`DevicePool::single`]) each stage runs as a single
 /// unsharded kernel with zero communication, so the timeline reduces to bare
-/// [`Device`](sketch_gpu_sim::Device) launches — "serial" is just the
+/// [`Device`] launches — "serial" is just the
 /// degenerate pool.
 pub fn pipelined_sketch<'a>(
     pool: &DevicePool,
@@ -365,33 +355,29 @@ pub fn pipelined_sketch<'a>(
         ));
     }
 
-    let mut state = ExecState::new(p, alive);
+    let mut state = ExecState::new(pool, alive);
     let mut schedules = Vec::with_capacity(resolved.len());
     let mut comms = Vec::with_capacity(resolved.len());
     let mut current: Option<Matrix> = None; // None = first stage reads `a`
 
-    for (stage_idx, spec) in resolved.iter().enumerate() {
+    for (index, spec) in resolved.iter().enumerate() {
         let input = match &current {
             Some(m) => Operand::Dense(m),
             None => a,
         };
-        let axis = spec.shard_axis();
-        let extent = match axis {
-            ShardAxis::Rows => input.nrows(),
-            ShardAxis::Cols => input.ncols(),
-        };
         let n = input.ncols();
         let k = spec.output_dim.resolve(n);
-        let kind = spec.kind.as_str();
         let build_device = pool.device(state.alive[0]);
 
         // The stage operator is built once and its generation replicated to
         // every live device up front — which is exactly why recovery needs no
         // regeneration: survivors already hold their replicas, so a retry
         // re-runs shard kernels only.
-        let (out, reported) = match axis {
+        let row_sketch: CountSketch;
+        let col_op: Box<dyn SketchOperator>;
+        let shard = match spec.shard_axis() {
             ShardAxis::Rows => {
-                let sketch = match spec.kind {
+                row_sketch = match spec.kind {
                     SketchKind::CountSketch => spec.build_countsketch(build_device)?,
                     SketchKind::HashCountSketch => {
                         spec.build_hash_countsketch(build_device)?.to_explicit()
@@ -403,33 +389,23 @@ pub fn pipelined_sketch<'a>(
                         )))
                     }
                 };
-                replicate_generation(pool, &state.alive, sketch.generation_cost());
-                state.run_stage(opts, axis, extent, stage_idx, |schedule, alive, clock| {
-                    Ok(row_attempt(
-                        pool, input, &sketch, kind, k, n, schedule, alive, clock, stage_idx,
-                    ))
-                })?
+                ShardKernel::Rows(&row_sketch)
             }
             ShardAxis::Cols => {
-                let op = spec.build(build_device)?;
-                replicate_generation(pool, &state.alive, op.generation_cost());
-                state.run_stage(opts, axis, extent, stage_idx, |schedule, alive, clock| {
-                    col_attempt(
-                        pool,
-                        input,
-                        op.as_ref(),
-                        kind,
-                        k,
-                        schedule,
-                        alive,
-                        clock,
-                        stage_idx,
-                    )
-                })?
+                col_op = spec.build(build_device)?;
+                ShardKernel::Cols(col_op.as_ref())
             }
         };
+        replicate_generation(pool, &state.alive, shard.generation_cost());
+        let stage = Stage {
+            index,
+            kind: spec.kind.as_str(),
+            k,
+            shard,
+        };
+        let (out, reported) = state.run_stage(pool, input, &stage, opts)?;
         schedules.push(reported);
-        comms.push(match axis {
+        comms.push(match stage.axis() {
             ShardAxis::Rows => CommCost::allreduce(state.alive.len(), k, n),
             ShardAxis::Cols => CommCost::allgather(state.alive.len(), k, n),
         });
@@ -437,26 +413,16 @@ pub fn pipelined_sketch<'a>(
     }
 
     let result = current.ok_or_else(|| DistError::invalid_param("pipeline has no stages"))?;
-
-    // Only the real (with-comm) replay feeds the pool's attached recorder; the
-    // compute-only replay is an internal what-if and must not pollute traces.
-    let pipelined = simulate(p, &state.episodes, true, pool.recorder());
-    let compute_only = simulate(p, &state.episodes, false, None);
+    let timeline = state.streams.finish();
 
     // The recovery price: how much the full makespan (aborted attempts
     // included) exceeds the successful episodes replayed alone.  Exactly 0.0
-    // on a clean run — the replays are then identical.
+    // on a clean run — the replay is then the live schedule itself.
     let recovery_overhead_seconds = if state.failures.is_empty() {
         0.0
     } else {
-        let clean_episodes: Vec<Vec<ShardOp>> = state
-            .episodes
-            .iter()
-            .zip(&state.clean)
-            .filter(|(_, &clean)| clean)
-            .map(|(ops, _)| ops.clone())
-            .collect();
-        (pipelined.makespan() - simulate(p, &clean_episodes, true, None).makespan()).max(0.0)
+        let clean = state.episodes.iter().filter(|e| e.clean);
+        (timeline.makespan() - replay_makespan(p, clean, true)).max(0.0)
     };
 
     // Fault markers land on a dedicated trace track: a zero-width death point
@@ -496,91 +462,156 @@ pub fn pipelined_sketch<'a>(
         result,
         // The sum of every operation's duration is schedule-independent, so the
         // fully-serialized makespan needs no replay of its own.
-        serial_seconds: pipelined.serial_seconds(),
-        pipelined_seconds: pipelined.makespan(),
-        compute_only_seconds: compute_only.makespan(),
-        comm_seconds: pipelined.seconds_of(StreamKind::Comm),
-        timeline: pipelined,
+        serial_seconds: timeline.serial_seconds(),
+        pipelined_seconds: timeline.makespan(),
+        compute_only_seconds: replay_makespan(p, &state.episodes, false),
+        comm_seconds: timeline.seconds_of(StreamKind::Comm),
+        timeline,
         comm: comms,
         schedules,
         fault,
     })
 }
 
-/// Mirror of the stream-simulator clocks, advanced *during* numeric execution
-/// so device deaths are detected at the exact instant the timeline replay
-/// would reach.
-///
-/// Correctness of the mirror: `simulate` computes every start time as a fold
-/// of `f64::max` over the stream cursor and the wait events, episode
-/// boundaries wait on every last event of the previous episode, and `max`
-/// over non-negative values is order-independent bit-for-bit — so tracking
-/// per-device cursors plus the episode barrier reproduces the replay's
-/// timestamps exactly.
-struct SimClock {
-    /// Max over every last event of all previous episodes (the stage/retry
-    /// boundary every next compute waits on).
-    barrier: f64,
-    /// Per pool position: end of the device's last compute op.
-    compute: Vec<f64>,
-    /// Per pool position: end of the device's last collective.
-    comm: Vec<f64>,
+/// How one shard of a stage computes; the axis follows from it.
+enum ShardKernel<'s> {
+    /// Row shards add their block rows into one shared accumulator through the
+    /// CountSketch gather; each is followed by a chained ring fold of the
+    /// whole `k x n` accumulator.
+    Rows(&'s CountSketch),
+    /// Column panels apply the full operator to their own columns, written
+    /// straight into their column window of the output; each is followed by
+    /// an allgather of the `k x panel` block.
+    Cols(&'s dyn SketchOperator),
 }
 
-impl SimClock {
-    fn new(p: usize) -> Self {
-        Self {
-            barrier: 0.0,
-            compute: vec![0.0; p],
-            comm: vec![0.0; p],
+impl ShardKernel<'_> {
+    fn generation_cost(&self) -> KernelCost {
+        match self {
+            ShardKernel::Rows(sketch) => sketch.generation_cost(),
+            ShardKernel::Cols(op) => op.generation_cost(),
         }
     }
+}
+
+/// One pipeline stage as the shard loop sees it.
+struct Stage<'s> {
+    index: usize,
+    kind: &'static str,
+    k: usize,
+    shard: ShardKernel<'s>,
+}
+
+impl Stage<'_> {
+    fn axis(&self) -> ShardAxis {
+        match self.shard {
+            ShardKernel::Rows(_) => ShardAxis::Rows,
+            ShardKernel::Cols(_) => ShardAxis::Cols,
+        }
+    }
+}
+
+/// Modelled seconds of one shard, kept for the what-if replays.
+#[derive(Debug, Clone, Copy)]
+struct ShardOp {
+    device: usize,
+    compute_s: f64,
+    comm_s: f64,
+}
+
+/// The shards of one attempt of a stage, in enqueue order.
+#[derive(Debug)]
+struct Episode {
+    ops: Vec<ShardOp>,
+    /// Whether each collective also waits for the previous shard's collective
+    /// (the ordered ring fold of [`ShardAxis::Rows`] stages).
+    chained: bool,
+    /// Whether the attempt succeeded (aborted attempts stay on the timeline).
+    clean: bool,
+}
+
+/// A device death met while enqueuing: the operation was cut off at `at`,
+/// after running `seconds`.
+struct Death {
+    failure: DeviceFailed,
+    at: f64,
+    seconds: f64,
+    /// Completion event of the cut-off operation, if it was enqueued.
+    event: Option<Event>,
+}
+
+/// Enqueue one operation on `device`'s `kind` stream (pool position `pos`).
+///
+/// If the device dies before the operation would end, the operation is
+/// enqueued cut off at the death instant instead — or, for a collective the
+/// device never got to start, not at all — and the death is returned.
+#[allow(clippy::too_many_arguments)]
+fn enqueue_until_death(
+    streams: &mut StreamSet,
+    device: &Device,
+    pos: usize,
+    kind: StreamKind,
+    label: String,
+    waits: &[Event],
+    seconds: f64,
+    cost: sketch_obs::CostBreakdown,
+) -> Result<Event, Death> {
+    let start = streams.start_time(pos, kind, waits);
+    let Err(failure) = device.check_alive(start + seconds) else {
+        return Ok(streams.enqueue_costed(pos, kind, label, waits, seconds, cost));
+    };
+    let at = start.max(failure.after_sim_seconds);
+    let seconds = at - start;
+    let event = (kind == StreamKind::Compute || seconds > 0.0)
+        .then(|| streams.enqueue_costed(pos, kind, label, waits, seconds, cost));
+    Err(Death {
+        failure,
+        at,
+        seconds,
+        event,
+    })
 }
 
 /// What one execution attempt of a stage produced.
 enum Attempt {
     /// Every shard ran to completion on the attempt's schedule.
-    Success {
-        out: Matrix,
-        ops: Vec<ShardOp>,
-        episode_end: f64,
-    },
-    /// A device died mid-attempt.  `ops` holds the completed survivor shards
-    /// plus the dying operation truncated at the death instant — the aborted
-    /// episode stays on the timeline (in-flight work drains, then the stage
-    /// restarts at the barrier).
+    Success(Matrix),
+    /// A device died mid-attempt: the dying operation was cut off at
+    /// `detected_at`, and the aborted episode stays on the timeline (in-flight
+    /// work drains, then the stage restarts at the barrier).
     Died {
-        ops: Vec<ShardOp>,
-        failure: sketch_gpu_sim::DeviceFailed,
-        /// Index into the attempt's `alive` slice of the dead device.
+        failure: DeviceFailed,
+        /// Index into `alive` of the dead device.
         local: usize,
         detected_at: f64,
-        episode_end: f64,
     },
 }
 
-/// Executor-wide fault/recovery state threaded through the stage loop.
+/// Executor-wide clock and fault/recovery state threaded through the stage
+/// loop.
 struct ExecState {
     /// Pool positions still alive, in pool order.
     alive: Vec<usize>,
-    clock: SimClock,
-    /// Every episode (successful or aborted attempt) in replay order; the
-    /// stream simulator puts a barrier between consecutive episodes.
-    episodes: Vec<Vec<ShardOp>>,
-    /// Whether the episode at the same index was a successful attempt.
-    clean: Vec<bool>,
+    /// The modelled clock: every shard operation is enqueued here as it
+    /// executes, and the pool's recorder (if any) traces it.
+    streams: StreamSet,
+    /// Last events of the previous episode — the barrier every next kernel
+    /// waits on.
+    barrier: Vec<Event>,
+    /// Every episode (successful or aborted attempt) in enqueue order.
+    episodes: Vec<Episode>,
     failures: Vec<DeviceFailure>,
     shards_recomputed: usize,
     lost_seconds: f64,
 }
 
 impl ExecState {
-    fn new(p: usize, alive: Vec<usize>) -> Self {
+    fn new(pool: &DevicePool, alive: Vec<usize>) -> Self {
         Self {
             alive,
-            clock: SimClock::new(p),
+            streams: StreamSet::new(pool.num_devices()).with_recorder(pool.recorder()),
+            barrier: Vec::new(),
             episodes: Vec::new(),
-            clean: Vec::new(),
             failures: Vec::new(),
             shards_recomputed: 0,
             lost_seconds: 0.0,
@@ -595,19 +626,19 @@ impl ExecState {
     ///
     /// Returns the stage output and the successful schedule with devices
     /// remapped to pool positions.
-    fn run_stage<F>(
+    fn run_stage(
         &mut self,
+        pool: &DevicePool,
+        input: Operand<'_>,
+        stage: &Stage<'_>,
         opts: &ExecutorOptions,
-        axis: ShardAxis,
-        extent: usize,
-        stage_idx: usize,
-        mut attempt: F,
-    ) -> Result<(Matrix, Schedule), DistError>
-    where
-        F: FnMut(&Schedule, &[usize], &mut SimClock) -> Result<Attempt, DistError>,
-    {
-        let mut attempt_no = 0usize;
+    ) -> Result<(Matrix, Schedule), DistError> {
+        let extent = match stage.axis() {
+            ShardAxis::Rows => input.nrows(),
+            ShardAxis::Cols => input.ncols(),
+        };
         let stage_first_failure = self.failures.len();
+        let mut retrying = false;
         loop {
             let survivors = self.alive.len();
             // A single live device is a first-class zero-overhead target: no
@@ -617,23 +648,23 @@ impl ExecState {
             } else {
                 (opts.shards_per_device.max(1) * survivors).clamp(1, extent)
             };
-            let schedule = Schedule::block_cyclic(axis, extent, num_shards, survivors);
-            match attempt(&schedule, &self.alive, &mut self.clock)? {
-                Attempt::Success {
-                    out,
-                    ops,
-                    episode_end,
-                } => {
-                    if attempt_no > 0 {
-                        self.shards_recomputed += ops.len();
-                    }
-                    self.clock.barrier = episode_end;
-                    self.episodes.push(ops);
-                    self.clean.push(true);
+            let schedule = Schedule::block_cyclic(stage.axis(), extent, num_shards, survivors);
+            let attempt = self.attempt(pool, input, stage, &schedule)?;
+            let ops = &self
+                .episodes
+                .last()
+                .expect("attempt records an episode")
+                .ops;
+            if retrying {
+                self.shards_recomputed += ops.len();
+            }
+            match attempt {
+                Attempt::Success(out) => {
                     // Recovery on the trace runs from each detection to the
                     // stage's eventual success.
+                    let end = self.barrier.iter().fold(0.0f64, |acc, e| acc.max(e.at));
                     for f in &mut self.failures[stage_first_failure..] {
-                        f.recovered_at_seconds = episode_end;
+                        f.recovered_at_seconds = end;
                     }
                     let mut reported = schedule;
                     for a in &mut reported.assignments {
@@ -642,22 +673,14 @@ impl ExecState {
                     return Ok((out, reported));
                 }
                 Attempt::Died {
-                    ops,
                     failure,
                     local,
                     detected_at,
-                    episode_end,
                 } => {
-                    if attempt_no > 0 {
-                        self.shards_recomputed += ops.len();
-                    }
                     self.lost_seconds += ops.iter().map(|o| o.compute_s + o.comm_s).sum::<f64>();
-                    self.clock.barrier = episode_end;
-                    self.episodes.push(ops);
-                    self.clean.push(false);
                     self.failures.push(DeviceFailure {
                         device: failure.ordinal,
-                        stage: stage_idx,
+                        stage: stage.index,
                         at_sim_seconds: failure.after_sim_seconds,
                         detected_at_seconds: detected_at,
                         recovered_at_seconds: detected_at, // backfilled on success
@@ -666,319 +689,159 @@ impl ExecState {
                     if self.alive.is_empty() {
                         return Err(Error::from(failure));
                     }
-                    attempt_no += 1;
+                    retrying = true;
                 }
             }
         }
     }
-}
 
-/// One attempt of a row-sharded stage (CountSketch families): fold block-row
-/// slices into one shared accumulator in global row order — the exact chain of
-/// the single-device Algorithm-2 scatter, and simultaneously the ordered ring
-/// reduction whose per-shard fold the timeline overlaps with the next shard's
-/// compute.  Because shards are contiguous ranges folded in schedule order,
-/// *any* survivor schedule replays the identical floating-point chain — this
-/// is what makes recompute-on-failure bit-exact.
-///
-/// Shards are cut with [`Operand::slice_rows`]: dense blocks keep the operand's
-/// layout (and its read-penalty accounting), CSR shards are zero-copy
-/// `row_ptr` windows folded non-zero by non-zero.
-#[allow(clippy::too_many_arguments)]
-fn row_attempt(
-    pool: &DevicePool,
-    input: Operand<'_>,
-    sketch: &CountSketch,
-    kind: &str,
-    k: usize,
-    n: usize,
-    schedule: &Schedule,
-    alive: &[usize],
-    clock: &mut SimClock,
-    stage_idx: usize,
-) -> Attempt {
-    let survivors = alive.len();
-    let rows = sketch.rows();
-    let signs = sketch.signs();
-
-    let mut out = Matrix::zeros_with_layout(k, n, Layout::RowMajor);
-    let mut ops: Vec<ShardOp> = Vec::with_capacity(schedule.num_shards());
-    let mut prev_fold: Option<f64> = None;
-    let mut episode_end = 0.0f64;
-    for assignment in &schedule.assignments {
-        let local = assignment.device;
-        let phys = alive[local];
-        let device = pool.device(phys);
-        let range = assignment.range.clone();
-        let slice = input.slice_rows(range.clone());
-        let cost = match slice.as_operand() {
-            Operand::Dense(block) => {
-                for (local_row, global) in range.clone().enumerate() {
-                    let target = rows[global];
-                    let sign = if signs[global] { 1.0 } else { -1.0 };
-                    for c in 0..n {
-                        out.add_to(target, c, sign * block.get(local_row, c));
-                    }
-                }
-                CountSketch::apply_cost(range.len(), k, n, block.layout() == Layout::ColMajor)
-            }
-            Operand::CsrRows(view) => {
-                for (local_row, global) in range.clone().enumerate() {
-                    let target = rows[global];
-                    let sign = if signs[global] { 1.0 } else { -1.0 };
-                    for (c, v) in view.row(local_row) {
-                        out.add_to(target, c, sign * v);
-                    }
-                }
-                CountSketch::apply_cost_csr(range.len(), k, n, view.nnz())
-            }
-            Operand::Csr(s) => {
-                // Whole-range slice of a CSR operand (the single-shard case).
-                for (local_row, global) in range.clone().enumerate() {
-                    let target = rows[global];
-                    let sign = if signs[global] { 1.0 } else { -1.0 };
-                    for (c, v) in s.row(local_row) {
-                        out.add_to(target, c, sign * v);
-                    }
-                }
-                CountSketch::apply_cost_csr(range.len(), k, n, s.nnz())
-            }
-        };
-        let label = format!("s{stage_idx} {kind} shard {}", assignment.index);
-        device.launch(&label, cost);
-
-        let compute_s = device.scaled_time(&cost);
-        let cs = clock.compute[phys].max(clock.barrier);
-        let ce = cs + compute_s;
-        if let Err(failure) = device.check_alive(ce) {
-            let truncated = cs.max(failure.after_sim_seconds);
-            clock.compute[phys] = truncated;
-            episode_end = episode_end.max(truncated);
-            ops.push(ShardOp {
-                device: phys,
-                label,
-                compute_s: truncated - cs,
-                comm_s: 0.0,
-                chained: true,
-                cost,
-                comm_bytes: 0,
-            });
-            return Attempt::Died {
-                ops,
-                failure,
-                local,
-                detected_at: truncated,
-                episode_end,
-            };
-        }
-        clock.compute[phys] = ce;
-
-        let comm_s = if survivors > 1 {
-            ring_fold_time(pool, k, n) * device.link_scale()
-        } else {
-            0.0
-        };
-        let comm_bytes = if survivors > 1 {
-            KernelCost::f64_bytes((k * n) as u64)
-        } else {
-            0
-        };
-        if comm_s > 0.0 {
-            let mut fold_start = clock.comm[phys].max(ce);
-            if let Some(prev) = prev_fold {
-                fold_start = fold_start.max(prev);
-            }
-            let fold_end = fold_start + comm_s;
-            if let Err(failure) = device.check_alive(fold_end) {
-                let truncated = fold_start.max(failure.after_sim_seconds);
-                let truncated_comm = truncated - fold_start;
-                if truncated_comm > 0.0 {
-                    clock.comm[phys] = truncated;
-                }
-                let detected_at = truncated;
-                episode_end = episode_end.max(detected_at);
-                ops.push(ShardOp {
-                    device: phys,
-                    label,
-                    compute_s,
-                    comm_s: truncated_comm,
-                    chained: true,
-                    cost,
-                    comm_bytes: if truncated_comm > 0.0 { comm_bytes } else { 0 },
-                });
-                return Attempt::Died {
-                    ops,
-                    failure,
-                    local,
-                    detected_at,
-                    episode_end,
-                };
-            }
-            clock.comm[phys] = fold_end;
-            prev_fold = Some(fold_end);
-            episode_end = episode_end.max(fold_end);
-        } else {
-            episode_end = episode_end.max(ce);
-        }
-        ops.push(ShardOp {
-            device: phys,
-            label,
-            compute_s,
-            comm_s,
-            chained: true,
-            cost,
-            comm_bytes,
-        });
-    }
-    Attempt::Success {
-        out,
-        ops,
-        episode_end,
-    }
-}
-
-/// One attempt of a column-sharded stage (Gaussian, SRHT): every device
-/// sketches an independent column panel with the *full* operator — per-column
-/// kernels never see the other panels, so the panels are bitwise slices of the
-/// single-device result (under any survivor schedule) — and the panels are
-/// allgathered.
-///
-/// Dense panels are cut with [`Operand::slice_cols`] (view-equivalent,
-/// uncharged).  CSR operands are carved into *all* panels up front in one
-/// CSC-style conversion pass, charged once per live device (every device
-/// converts its replica, like sketch generation) — so the modelled compute of
-/// a sparse column stage does **not** grow with the shard count the way
-/// per-shard full-matrix scans would.
-#[allow(clippy::too_many_arguments)]
-fn col_attempt(
-    pool: &DevicePool,
-    input: Operand<'_>,
-    op: &dyn SketchOperator,
-    kind: &str,
-    k: usize,
-    schedule: &Schedule,
-    alive: &[usize],
-    clock: &mut SimClock,
-    stage_idx: usize,
-) -> Result<Attempt, DistError> {
-    let survivors = alive.len();
-    let n = input.ncols();
-
-    // One conversion pass cuts every CSR panel of the attempt (None for dense).
-    let csr_panels = cut_csr_panels(pool, alive, input, schedule);
-
-    let mut out = Matrix::zeros_with_layout(k, n, op.output_layout());
-    let mut ops: Vec<ShardOp> = Vec::with_capacity(schedule.num_shards());
-    let mut episode_end = 0.0f64;
-    for (shard, assignment) in schedule.assignments.iter().enumerate() {
-        let local = assignment.device;
-        let phys = alive[local];
-        let device = pool.device(phys);
-        let range = assignment.range.clone();
-        let mut panel_out = Matrix::zeros_with_layout(k, range.len(), op.output_layout());
-        let (applied, cost) = device.tracker().measure(|| match &csr_panels {
-            Some(panels) => op.apply_into(
-                device,
-                Operand::Csr(&panels[shard]),
-                &mut panel_out.view_mut(),
+    /// One attempt of a stage on `schedule`: run every shard's kernel and
+    /// enqueue it, then its collective, on the live streams — so each shard's
+    /// collective overlaps the next shard's compute.  The attempt's operations
+    /// are recorded as one episode, and its last events become the barrier.
+    ///
+    /// Row shards fold into one shared accumulator in schedule order, which is
+    /// global row order — the exact chain of the single-device gather, so
+    /// *any* survivor schedule replays the identical floating-point chain.
+    /// Column panels are bitwise slices of the single-device result under any
+    /// schedule.  This is what makes recompute-on-failure bit-exact.
+    fn attempt(
+        &mut self,
+        pool: &DevicePool,
+        input: Operand<'_>,
+        stage: &Stage<'_>,
+        schedule: &Schedule,
+    ) -> Result<Attempt, DistError> {
+        let (k, n) = (stage.k, input.ncols());
+        let collective = self.alive.len() > 1;
+        let (mut out, csr_panels) = match stage.shard {
+            ShardKernel::Rows(_) => (Matrix::zeros_with_layout(k, n, Layout::RowMajor), None),
+            ShardKernel::Cols(_) => (
+                Matrix::zeros_with_layout(k, n, Layout::ColMajor),
+                cut_csr_panels(pool, &self.alive, input, schedule),
             ),
-            None => {
-                let panel_in = input.slice_cols(device, range.clone());
-                op.apply_into(device, panel_in.as_operand(), &mut panel_out.view_mut())
-            }
-        });
-        applied?;
-        for (j, global) in range.clone().enumerate() {
-            for i in 0..k {
-                out.set(i, global, panel_out.get(i, j));
-            }
-        }
-        let label = format!("s{stage_idx} {kind} panel {}", assignment.index);
-
-        let compute_s = device.scaled_time(&cost);
-        let cs = clock.compute[phys].max(clock.barrier);
-        let ce = cs + compute_s;
-        if let Err(failure) = device.check_alive(ce) {
-            let truncated = cs.max(failure.after_sim_seconds);
-            clock.compute[phys] = truncated;
-            episode_end = episode_end.max(truncated);
-            ops.push(ShardOp {
-                device: phys,
-                label,
-                compute_s: truncated - cs,
-                comm_s: 0.0,
-                chained: false,
-                cost,
-                comm_bytes: 0,
-            });
-            return Ok(Attempt::Died {
-                ops,
-                failure,
-                local,
-                detected_at: truncated,
-                episode_end,
-            });
-        }
-        clock.compute[phys] = ce;
-
-        let panel_bytes = if survivors > 1 {
-            KernelCost::f64_bytes((k * range.len()) as u64)
-        } else {
-            0
         };
-        let comm_s = if survivors > 1 {
-            pool.interconnect().transfer_time(panel_bytes) * device.link_scale()
-        } else {
-            0.0
-        };
-        if comm_s > 0.0 {
-            let gather_start = clock.comm[phys].max(ce);
-            let gather_end = gather_start + comm_s;
-            if let Err(failure) = device.check_alive(gather_end) {
-                let truncated = gather_start.max(failure.after_sim_seconds);
-                let truncated_comm = truncated - gather_start;
-                if truncated_comm > 0.0 {
-                    clock.comm[phys] = truncated;
+        let chained = stage.axis() == ShardAxis::Rows;
+        let mut ops = Vec::with_capacity(schedule.num_shards());
+        let mut done = Vec::with_capacity(schedule.num_shards());
+        let mut prev_fold: Option<Event> = None;
+        let mut death = None;
+        for (shard, assignment) in schedule.assignments.iter().enumerate() {
+            let local = assignment.device;
+            let pos = self.alive[local];
+            let device = pool.device(pos);
+            let range = assignment.range.clone();
+            let (label, cost, comm_words) = match stage.shard {
+                ShardKernel::Rows(sketch) => {
+                    let label =
+                        format!("s{} {} shard {}", stage.index, stage.kind, assignment.index);
+                    let cost = sketch.accumulate_rows(input, range, &mut out.view_mut());
+                    device.launch(&label, cost);
+                    (label, cost, k * n)
                 }
-                let detected_at = truncated;
-                episode_end = episode_end.max(detected_at);
-                ops.push(ShardOp {
-                    device: phys,
-                    label,
-                    compute_s,
-                    comm_s: truncated_comm,
-                    chained: false,
-                    cost,
-                    comm_bytes: if truncated_comm > 0.0 { panel_bytes } else { 0 },
-                });
-                return Ok(Attempt::Died {
-                    ops,
-                    failure,
-                    local,
-                    detected_at,
-                    episode_end,
-                });
+                ShardKernel::Cols(op) => {
+                    let label =
+                        format!("s{} {} panel {}", stage.index, stage.kind, assignment.index);
+                    let window = &mut out.as_mut_slice()[range.start * k..range.end * k];
+                    let mut window = MatrixViewMut::new(k, range.len(), Layout::ColMajor, window);
+                    let (applied, cost) = device.tracker().measure(|| match &csr_panels {
+                        Some(panels) => {
+                            op.apply_into(device, Operand::Csr(&panels[shard]), &mut window)
+                        }
+                        None => {
+                            let panel = input.slice_cols(device, range.clone());
+                            op.apply_into(device, panel.as_operand(), &mut window)
+                        }
+                    });
+                    applied?;
+                    (label, cost, k * range.len())
+                }
+            };
+
+            let compute_s = device.scaled_time(&cost);
+            let mut op = ShardOp {
+                device: pos,
+                compute_s,
+                comm_s: 0.0,
+            };
+            let compute = enqueue_until_death(
+                &mut self.streams,
+                device,
+                pos,
+                StreamKind::Compute,
+                label.clone(),
+                &self.barrier,
+                compute_s,
+                cost.into(),
+            );
+            let mut last = match compute {
+                Ok(event) => event,
+                Err(d) => {
+                    op.compute_s = d.seconds;
+                    done.push(d.event.expect("a cut-off kernel is enqueued"));
+                    ops.push(op);
+                    death = Some((d, local));
+                    break;
+                }
+            };
+
+            let comm_bytes = KernelCost::f64_bytes(comm_words as u64);
+            let comm_s = if collective {
+                pool.interconnect().transfer_time(comm_bytes) * device.link_scale()
+            } else {
+                0.0
+            };
+            if comm_s > 0.0 {
+                // The kernel gates the collective; a chained (ordered-fold)
+                // collective also waits for the previous shard's fold.
+                let mut waits = vec![last];
+                waits.extend(prev_fold.filter(|_| chained));
+                let fold = enqueue_until_death(
+                    &mut self.streams,
+                    device,
+                    pos,
+                    StreamKind::Comm,
+                    format!("{label} fold"),
+                    &waits,
+                    comm_s,
+                    sketch_obs::CostBreakdown {
+                        comm_bytes,
+                        ..Default::default()
+                    },
+                );
+                match fold {
+                    Ok(event) => {
+                        op.comm_s = comm_s;
+                        last = event;
+                        prev_fold = Some(event);
+                    }
+                    Err(d) => {
+                        op.comm_s = d.seconds;
+                        done.push(d.event.unwrap_or(last));
+                        ops.push(op);
+                        death = Some((d, local));
+                        break;
+                    }
+                }
             }
-            clock.comm[phys] = gather_end;
-            episode_end = episode_end.max(gather_end);
-        } else {
-            episode_end = episode_end.max(ce);
+            done.push(last);
+            ops.push(op);
         }
-        ops.push(ShardOp {
-            device: phys,
-            label,
-            compute_s,
-            comm_s,
-            chained: false,
-            cost,
-            comm_bytes: panel_bytes,
+        self.barrier = done;
+        self.episodes.push(Episode {
+            ops,
+            chained,
+            clean: death.is_none(),
         });
+        Ok(match death {
+            None => Attempt::Success(out),
+            Some((d, local)) => Attempt::Died {
+                failure: d.failure,
+                local,
+                detected_at: d.at,
+            },
+        })
     }
-    Ok(Attempt::Success {
-        out,
-        ops,
-        episode_end,
-    })
 }
 
 /// Carve every column panel of a CSR-like operand for one stage attempt, in
@@ -1025,14 +888,6 @@ fn cut_csr_panels(
     Some(panels)
 }
 
-/// Time one shard's ordered ring fold occupies its comm stream: moving the `k x n`
-/// accumulator one hop.  (Callers skip the fold entirely when only one device
-/// is live — the fold is then local.)
-fn ring_fold_time(pool: &DevicePool, k: usize, n: usize) -> f64 {
-    pool.interconnect()
-        .transfer_time(KernelCost::f64_bytes((k * n) as u64))
-}
-
 /// Charge the (replicated) sketch generation to every live device except the
 /// build device (`alive[0]`), which already recorded it while building the
 /// operator.
@@ -1042,70 +897,35 @@ fn replicate_generation(pool: &DevicePool, alive: &[usize], cost: KernelCost) {
     }
 }
 
-/// Replay the shard ops on simulated streams: each device's compute stream runs
-/// its shards in order; a shard's collective goes to the device's comm stream,
-/// waiting on the shard's kernel and (for chained stages) the previous shard's
-/// collective.  Stage boundaries are barriers: a stage's kernels wait on every
-/// completion event of the previous stage.
-///
-/// With `with_comm = false` the collectives cost nothing, yielding the compute
-/// critical path.
-///
-/// When a `recorder` is supplied, the replay emits one costed
-/// [`sketch_obs::TraceEvent`] per operation on the matching device×stream sim
-/// track — this is where a trace's compute/comm tracks come from.
-fn simulate(
+/// Makespan of `episodes` replayed on fresh, untraced streams under the live
+/// clock's rules: each episode's kernels wait on the previous episode's last
+/// events, and a chained episode's collectives also wait for the previous
+/// shard's collective.  With `with_comm = false` the collectives cost nothing,
+/// yielding the compute critical path.
+fn replay_makespan<'e>(
     devices: usize,
-    stage_ops: &[Vec<ShardOp>],
+    episodes: impl IntoIterator<Item = &'e Episode>,
     with_comm: bool,
-    recorder: Option<std::sync::Arc<dyn sketch_obs::Recorder>>,
-) -> Timeline {
-    let mut set = StreamSet::new(devices).with_recorder(recorder);
-    let mut stage_done = Vec::new();
-    for ops in stage_ops {
-        let mut done = Vec::with_capacity(ops.len());
-        let mut prev_comm: Option<sketch_gpu_sim::Event> = None;
-        for op in ops {
-            let compute_ev = set.enqueue_costed(
-                op.device,
-                StreamKind::Compute,
-                op.label.clone(),
-                &stage_done,
-                op.compute_s,
-                op.cost.into(),
-            );
-            let last_ev = if with_comm && op.comm_s > 0.0 {
-                // The kernel gates the collective; a chained (ordered-fold)
-                // collective additionally waits for the previous shard's fold.
-                let mut waits = vec![compute_ev];
-                if op.chained {
-                    if let Some(prev) = prev_comm {
-                        waits.push(prev);
-                    }
-                }
-                let comm_ev = set.enqueue_costed(
-                    op.device,
-                    StreamKind::Comm,
-                    format!("{} fold", op.label),
-                    &waits,
-                    op.comm_s,
-                    sketch_obs::CostBreakdown {
-                        comm_bytes: op.comm_bytes,
-                        ..Default::default()
-                    },
-                );
-                if op.chained {
-                    prev_comm = Some(comm_ev);
-                }
-                comm_ev
-            } else {
-                compute_ev
-            };
-            done.push(last_ev);
+) -> f64 {
+    let mut streams = StreamSet::new(devices);
+    let mut barrier = Vec::new();
+    for episode in episodes {
+        let mut done = Vec::with_capacity(episode.ops.len());
+        let mut prev_fold: Option<Event> = None;
+        for op in &episode.ops {
+            let compute = StreamKind::Compute;
+            let mut last = streams.enqueue(op.device, compute, "", &barrier, op.compute_s);
+            if with_comm && op.comm_s > 0.0 {
+                let mut waits = vec![last];
+                waits.extend(prev_fold.filter(|_| episode.chained));
+                last = streams.enqueue(op.device, StreamKind::Comm, "", &waits, op.comm_s);
+                prev_fold = Some(last);
+            }
+            done.push(last);
         }
-        stage_done = done;
+        barrier = done;
     }
-    set.finish()
+    streams.finish().makespan()
 }
 
 #[cfg(test)]

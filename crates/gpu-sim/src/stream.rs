@@ -70,14 +70,20 @@ impl SimStream {
         self.cursor
     }
 
+    /// When an operation waiting for `waits` would start if enqueued now: the
+    /// maximum of the cursor and every awaited event.
+    fn start_time(&self, waits: &[Event]) -> f64 {
+        waits
+            .iter()
+            .fold(self.cursor, |acc, event| acc.max(event.at))
+    }
+
     /// Enqueue an operation that waits for `waits` (cross-stream events) and for every
     /// earlier operation on this stream, then runs for `duration` seconds.
     ///
     /// Returns `(start, end)`; the stream cursor advances to `end`.
     pub fn enqueue(&mut self, waits: &[Event], duration: f64) -> (f64, f64) {
-        let start = waits
-            .iter()
-            .fold(self.cursor, |acc, event| acc.max(event.at));
+        let start = self.start_time(waits);
         let end = start + duration.max(0.0);
         self.cursor = end;
         (start, end)
@@ -280,6 +286,20 @@ impl StreamSet {
         self.compute.len()
     }
 
+    /// The start time an operation would get on `device`'s `kind` stream,
+    /// waiting on `waits` — what [`StreamSet::enqueue`] would schedule, without
+    /// enqueuing anything.
+    ///
+    /// # Panics
+    /// Panics if `device` is out of range.
+    pub fn start_time(&self, device: usize, kind: StreamKind, waits: &[Event]) -> f64 {
+        match kind {
+            StreamKind::Compute => &self.compute[device],
+            StreamKind::Comm => &self.comm[device],
+        }
+        .start_time(waits)
+    }
+
     /// Enqueue an operation on `device`'s `kind` stream, waiting on `waits`, running
     /// for `duration` seconds.  Records a [`TimelineEntry`] and returns the
     /// completion [`Event`].
@@ -375,6 +395,23 @@ mod tests {
         // A ready event never delays anything.
         let (c_start, _) = b.enqueue(&[Event::ready()], 1.0);
         assert_eq!(c_start, 5.0);
+    }
+
+    #[test]
+    fn start_time_previews_enqueue_without_moving_the_clock() {
+        let mut set = StreamSet::new(2);
+        let c = set.enqueue(0, StreamKind::Compute, "k", &[], 2.0);
+        let waits = [c, Event { at: 1.5 }];
+        assert_eq!(set.start_time(1, StreamKind::Comm, &waits), 2.0);
+        assert_eq!(set.start_time(0, StreamKind::Compute, &[]), 2.0);
+        assert_eq!(set.start_time(1, StreamKind::Compute, &[]), 0.0);
+        assert_eq!(
+            set.clone().finish().entries().len(),
+            1,
+            "a query enqueues nothing"
+        );
+        let m = set.enqueue(1, StreamKind::Comm, "m", &waits, 1.0);
+        assert_eq!(m.at, 3.0);
     }
 
     #[test]

@@ -13,6 +13,12 @@
 
 use std::fmt;
 
+/// Deepest nesting of arrays and objects [`JsonValue::parse`] accepts.  The
+/// parser recurses once per level, so an unbounded depth would let a hostile
+/// document (`[[[[…`) overflow the stack; past this limit it returns a
+/// [`JsonError`] instead.
+pub const MAX_DEPTH: usize = 128;
+
 /// Error produced when a JSON document fails to parse.
 ///
 /// `sketch-core` converts this into its workspace-wide `Error::InvalidParameter`
@@ -112,11 +118,13 @@ impl JsonValue {
         }
     }
 
-    /// Parse a JSON document.
+    /// Parse a JSON document.  Arrays and objects nested deeper than
+    /// [`MAX_DEPTH`] are rejected with a [`JsonError`].
     pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
         let mut parser = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_ws();
         let value = parser.value()?;
@@ -194,6 +202,8 @@ fn render_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -238,8 +248,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') if self.eat_literal("true") => Ok(JsonValue::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(JsonValue::Bool(false)),
@@ -248,6 +258,21 @@ impl<'a> Parser<'a> {
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<JsonValue, JsonError> {
@@ -513,6 +538,31 @@ mod tests {
         let v = JsonValue::Float(0.25);
         assert_eq!(JsonValue::parse(&v.render()).unwrap(), v);
         assert_eq!(JsonValue::Float(f64::INFINITY).render(), "null");
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_max_depth() {
+        let nest =
+            |depth: usize, open: &str, close: &str| open.repeat(depth) + &close.repeat(depth);
+        // Exactly at the limit: parses.
+        let mut v = JsonValue::parse(&nest(MAX_DEPTH, "[", "]")).unwrap();
+        for _ in 1..MAX_DEPTH {
+            v = match v {
+                JsonValue::Array(mut items) => items.pop().unwrap(),
+                other => panic!("expected an array, got {other:?}"),
+            };
+        }
+        assert_eq!(v, JsonValue::Array(Vec::new()));
+        let objects = "{\"a\":".repeat(MAX_DEPTH - 1) + "{}" + &"}".repeat(MAX_DEPTH - 1);
+        assert!(JsonValue::parse(&objects).is_ok());
+        // One level past it, or a hostile 100 000 levels: a typed error, not a
+        // stack overflow.
+        for doc in [nest(MAX_DEPTH + 1, "[", "]"), "[".repeat(100_000)] {
+            let err = JsonValue::parse(&doc).unwrap_err();
+            assert!(err.message().contains("nesting deeper than 128"), "{err}");
+        }
+        let deep_object = "{\"a\":".repeat(100_000);
+        assert!(JsonValue::parse(&deep_object).is_err());
     }
 
     #[test]

@@ -42,6 +42,13 @@ pub enum RejectReason {
         /// Execution attempts that failed before the job was abandoned.
         attempts: usize,
     },
+    /// The job's execution failed with an error no retry can fix — for
+    /// example a spec that resolves to an empty sketch.  The job fails alone;
+    /// the rest of its batch runs.
+    ExecutionFailed {
+        /// The executor's error, rendered.
+        detail: String,
+    },
 }
 
 impl RejectReason {
@@ -53,6 +60,7 @@ impl RejectReason {
             RejectReason::SketchBytesExceeded { .. } => "sketch_bytes_exceeded",
             RejectReason::FlopsExceeded { .. } => "flops_exceeded",
             RejectReason::RetriesExhausted { .. } => "retries_exhausted",
+            RejectReason::ExecutionFailed { .. } => "execution_failed",
         }
     }
 }
@@ -78,6 +86,7 @@ impl std::fmt::Display for RejectReason {
                 f,
                 "abandoned after {attempts} failed attempt(s) on dying devices"
             ),
+            RejectReason::ExecutionFailed { detail } => write!(f, "execution failed: {detail}"),
         }
     }
 }

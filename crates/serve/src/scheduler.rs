@@ -54,16 +54,16 @@ impl ScheduledJob {
 }
 
 /// A job the scheduler gave up on: every execution attempt died with a device
-/// failure and the tenant's retry budget (or the pool) ran out.
+/// failure and the tenant's retry budget (or the pool) ran out, or the job
+/// failed with an error a retry cannot fix.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AbandonedJob {
     /// The submitting tenant.
     pub tenant: String,
     /// Queue sequence number of the job.
     pub seq: u64,
-    /// The typed reason — always
-    /// [`RejectReason::RetriesExhausted`] today, kept open for future
-    /// scheduler-side refusals.
+    /// The typed reason: [`RejectReason::RetriesExhausted`] or
+    /// [`RejectReason::ExecutionFailed`].
     pub reason: RejectReason,
     /// Execution attempts that failed before the job was abandoned.
     pub attempts: usize,
@@ -183,7 +183,9 @@ impl Scheduler {
     /// still-live devices, up to the tenant's
     /// [`max_retries`](crate::TenantLimits::max_retries) budget; past the
     /// budget — or with no live device left — the job is *abandoned* with a
-    /// typed [`RejectReason::RetriesExhausted`], never a hard error.
+    /// typed [`RejectReason::RetriesExhausted`], never a hard error.  Any
+    /// other execution error abandons just that job with a typed
+    /// [`RejectReason::ExecutionFailed`], and the batch runs on.
     ///
     /// Stragglers feed the claim decision: an
     /// [interactive](DeadlineClass::Interactive) job whose earliest-free claim
@@ -286,7 +288,17 @@ impl Scheduler {
                         }
                         retries += 1;
                     }
-                    Err(other) => return Err(other),
+                    Err(other) => {
+                        abandoned.push(AbandonedJob {
+                            tenant: qj.job.tenant.clone(),
+                            seq: qj.seq,
+                            reason: RejectReason::ExecutionFailed {
+                                detail: other.to_string(),
+                            },
+                            attempts: attempts + 1,
+                        });
+                        break;
+                    }
                 }
             }
         }

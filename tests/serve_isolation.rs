@@ -11,7 +11,7 @@
 //! admission interleavings.
 
 use gpu_countsketch::prelude::*;
-use gpu_countsketch::serve::{tenant_salt, QueuedJob};
+use gpu_countsketch::serve::{tenant_salt, JobFile, QueuedJob, RejectReason};
 use proptest::prelude::*;
 
 /// Every sketch kind plus the two-stage Count-Gauss pipeline.
@@ -118,6 +118,59 @@ fn cosched_matches_solo_bitwise_across_pool_sizes() {
             );
         }
     }
+}
+
+#[test]
+fn a_failing_job_fails_alone_and_the_batch_runs_on() {
+    // The middle job's sketch resolves to zero output rows: it passes
+    // admission but cannot execute.  Its neighbours must still run, with the
+    // bits they produce alone, and the ledger must carry one typed rejection.
+    let job = |tenant: &str, output_dim: &str, seed: u64| {
+        format!(
+            r#"{{"tenant": "{tenant}",
+                 "pipeline": {{"stages": [{{"kind": "count-sketch", "input_dim": 1024,
+                                            "output_dim": {output_dim}, "seed": {seed}}}]}},
+                 "operand": {{"dense": {{"rows": 1024, "cols": 8, "seed": {seed}}}}}}}"#
+        )
+    };
+    let text = format!(
+        r#"{{"jobs": [{}, {}, {}]}}"#,
+        job("alice", r#"{"square": 2}"#, 1),
+        job("mallory", r#"{"exact": 0}"#, 2),
+        job("bob", r#"{"ratio": 4}"#, 3),
+    );
+    let file = JobFile::from_json(&text).expect("the job file parses");
+    let pool = DevicePool::unlimited(2);
+    let mut engine = ServeEngine::new(&pool, file.admission(), file.queue_capacity);
+    for spec in file.jobs.clone() {
+        engine.submit(spec).expect("every job is admitted");
+    }
+    let report = engine.run().expect("one bad job never fails the batch");
+
+    let run = &report.service;
+    assert_eq!(run.jobs.len(), 2);
+    for scheduled in &run.jobs {
+        let expected = solo_result(&file.jobs[scheduled.seq as usize]);
+        assert_eq!(
+            scheduled.run.result.max_abs_diff(&expected),
+            Ok(0.0),
+            "{} drifted beside the failing job",
+            scheduled.tenant
+        );
+    }
+    assert_eq!(run.abandoned.len(), 1);
+    let failed = &run.abandoned[0];
+    assert_eq!((failed.tenant.as_str(), failed.seq), ("mallory", 1));
+    match &failed.reason {
+        RejectReason::ExecutionFailed { detail } => {
+            assert!(detail.contains("output dimension 0"), "{detail}")
+        }
+        other => panic!("expected an execution failure, got {other:?}"),
+    }
+    assert_eq!(report.jobs_rejected(), 1);
+    let ledger = &report.tenants["mallory"];
+    assert_eq!(ledger.jobs_rejected, 1);
+    assert_eq!(ledger.rejected_by_reason["execution_failed"], 1);
 }
 
 #[test]

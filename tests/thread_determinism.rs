@@ -211,6 +211,27 @@ fn countsketch_of_csr_end_to_end_is_thread_count_invariant() {
 }
 
 #[test]
+fn row_shards_through_the_parallel_gather_are_thread_count_invariant() {
+    // A 512 x 16 accumulator is past the shim's serial threshold, so every
+    // row shard folds through the parallel ordered gather: shards and threads
+    // must compose into the single-device bits.
+    let a = Matrix::random_gaussian(4096, 16, Layout::RowMajor, 5, 0);
+    let plan = Pipeline::single(SketchSpec::countsketch(4096, EmbeddingDim::Square(2), 9));
+    let run_on = |devices: usize| {
+        let pool = DevicePool::unlimited(devices);
+        let run =
+            pipelined_sketch(&pool, &a, &plan, &ExecutorOptions::default()).expect("executes");
+        bits(&run.result)
+    };
+    let single = run_on(1);
+    assert_identical_across_threads("CountSketch/dense e2e @ 4 devices", || {
+        let sharded = run_on(4);
+        assert_eq!(sharded, single, "4-device run drifted from the pool of one");
+        sharded
+    });
+}
+
+#[test]
 fn sketch_and_solve_is_thread_count_invariant() {
     let device = Device::unlimited();
     let problem = LsqProblem::performance(&device, 512, 8, 31).expect("problem builds");
