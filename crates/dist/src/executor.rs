@@ -321,8 +321,7 @@ impl PipelinedRun {
 ///
 /// On a pool of one ([`DevicePool::single`]) each stage runs as a single
 /// unsharded kernel with zero communication, so the timeline reduces to bare
-/// [`Device`] launches — "serial" is just the
-/// degenerate pool.
+/// [`Device`] launches — "serial" is just the degenerate pool.
 pub fn pipelined_sketch<'a>(
     pool: &DevicePool,
     a: impl Into<Operand<'a>>,
@@ -726,7 +725,7 @@ impl ExecState {
         let mut done = Vec::with_capacity(schedule.num_shards());
         let mut prev_fold: Option<Event> = None;
         let mut death = None;
-        for (shard, assignment) in schedule.assignments.iter().enumerate() {
+        for assignment in &schedule.assignments {
             let local = assignment.device;
             let pos = self.alive[local];
             let device = pool.device(pos);
@@ -745,9 +744,11 @@ impl ExecState {
                     let window = &mut out.as_mut_slice()[range.start * k..range.end * k];
                     let mut window = MatrixViewMut::new(k, range.len(), Layout::ColMajor, window);
                     let (applied, cost) = device.tracker().measure(|| match &csr_panels {
-                        Some(panels) => {
-                            op.apply_into(device, Operand::Csr(&panels[shard]), &mut window)
-                        }
+                        Some(panels) => op.apply_into(
+                            device,
+                            Operand::Csr(&panels[assignment.index]),
+                            &mut window,
+                        ),
                         None => {
                             let panel = input.slice_cols(device, range.clone());
                             op.apply_into(device, panel.as_operand(), &mut window)

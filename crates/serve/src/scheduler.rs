@@ -208,18 +208,22 @@ impl Scheduler {
         let mut evictions = 0u64;
         for qj in jobs {
             let max_retries = admission.limits_for(&qj.job.tenant).max_retries;
+            let abandon = |reason, attempts| AbandonedJob {
+                tenant: qj.job.tenant.clone(),
+                seq: qj.seq,
+                reason,
+                attempts,
+            };
             let mut attempts = 0usize;
             loop {
                 // Sticky death flags shrink the usable set between attempts,
                 // so even an unlimited retry budget terminates.
                 let usable: Vec<usize> = (0..p).filter(|&d| !pool.device(d).is_failed()).collect();
                 if usable.is_empty() {
-                    abandoned.push(AbandonedJob {
-                        tenant: qj.job.tenant.clone(),
-                        seq: qj.seq,
-                        reason: RejectReason::RetriesExhausted { attempts },
+                    abandoned.push(abandon(
+                        RejectReason::RetriesExhausted { attempts },
                         attempts,
-                    });
+                    ));
                     break;
                 }
                 let want = qj.job.devices.clamp(1, usable.len());
@@ -278,25 +282,18 @@ impl Scheduler {
                     Err(ServeError::Core(e)) if e.is_device_failure() => {
                         attempts += 1;
                         if attempts > max_retries {
-                            abandoned.push(AbandonedJob {
-                                tenant: qj.job.tenant.clone(),
-                                seq: qj.seq,
-                                reason: RejectReason::RetriesExhausted { attempts },
-                                attempts,
-                            });
+                            let reason = RejectReason::RetriesExhausted { attempts };
+                            abandoned.push(abandon(reason, attempts));
                             break;
                         }
                         retries += 1;
                     }
                     Err(other) => {
-                        abandoned.push(AbandonedJob {
-                            tenant: qj.job.tenant.clone(),
-                            seq: qj.seq,
-                            reason: RejectReason::ExecutionFailed {
-                                detail: other.to_string(),
-                            },
-                            attempts: attempts + 1,
-                        });
+                        let detail = other.to_string();
+                        abandoned.push(abandon(
+                            RejectReason::ExecutionFailed { detail },
+                            attempts + 1,
+                        ));
                         break;
                     }
                 }
