@@ -216,7 +216,7 @@ fn bench_fwht(grid: &[usize], smoke: bool, trace: Option<&RecorderHandle>) -> Ve
     finish_rows("fwht", d * n, modelled, sweep)
 }
 
-/// The CountSketch kernel (ordered gather) into a reused output buffer.
+/// The CountSketch kernel (ascending-row scatter) into a reused output buffer.
 fn bench_countsketch(grid: &[usize], smoke: bool, trace: Option<&RecorderHandle>) -> Vec<Row> {
     let d = if smoke { 1 << 14 } else { 1 << 17 };
     let (n, k) = (8, 4096);

@@ -12,11 +12,12 @@
 //! ```
 //!
 //! The *cost model* charges exactly that atomic kernel.  The host *execution*,
-//! however, inverts the row map and gathers over output rows (`invert_row_map`),
-//! because atomic f64 adds have a scheduling-dependent fold order under the real
-//! thread pool and would break the workspace's bit-exactness contract.  The gather
-//! folds each output cell's contributions in ascending input-row order — the serial
-//! scatter's order — so results are bit-identical for any `RAYON_NUM_THREADS`.
+//! however, is the serial scatter in ascending input-row order, because atomic f64
+//! adds have a scheduling-dependent fold order under the real thread pool and would
+//! break the workspace's bit-exactness contract.  Streaming `A` front to back also
+//! keeps the host kernel bandwidth-bound rather than latency-bound: the operand is
+//! usually far larger than the `k x n` output it folds into.  Results are
+//! bit-identical for any `RAYON_NUM_THREADS`.
 //!
 //! Three ways of applying the same operator are provided:
 //!
@@ -195,16 +196,19 @@ impl CountSketch {
         let (counts, members) = invert_row_map(self.k, &self.rows);
         let mut y = Matrix::zeros_with_layout(self.k, n, Layout::RowMajor);
         {
+            use rayon::prelude::*;
             let data = y.as_mut_slice();
             let signs = &self.signs;
-            data.par_chunks_mut_outer(n, |m, out_row| {
-                for &j in &members[counts[m]..counts[m + 1]] {
-                    let sign = if signs[j] { 1.0 } else { -1.0 };
-                    for (c, slot) in out_row.iter_mut().enumerate() {
-                        *slot += sign * a.get(j, c);
+            data.par_chunks_mut(n.max(1))
+                .enumerate()
+                .for_each(|(m, out_row)| {
+                    for &j in &members[counts[m]..counts[m + 1]] {
+                        let sign = if signs[j] { 1.0 } else { -1.0 };
+                        for (c, slot) in out_row.iter_mut().enumerate() {
+                            *slot += sign * a.get(j, c);
+                        }
                     }
-                }
-            });
+                });
         }
 
         let d = self.d as u64;
@@ -239,27 +243,12 @@ impl CountSketch {
     }
 }
 
-/// Small extension trait so the gather kernel can parallelise over output rows without
-/// pulling the full rayon prelude into this module's public surface.
-trait ParChunksOuter {
-    fn par_chunks_mut_outer(&mut self, chunk: usize, body: impl Fn(usize, &mut [f64]) + Sync);
-}
-
-impl ParChunksOuter for [f64] {
-    fn par_chunks_mut_outer(&mut self, chunk: usize, body: impl Fn(usize, &mut [f64]) + Sync) {
-        use rayon::prelude::*;
-        self.par_chunks_mut(chunk.max(1))
-            .enumerate()
-            .for_each(|(i, slice)| body(i, slice));
-    }
-}
-
 /// Invert a CountSketch row map by counting sort: returns `(counts, members)`
 /// where `members[counts[r]..counts[r + 1]]` lists, **in ascending input-row
 /// order**, every `j` with `target(j) == r`.
 ///
 /// The ascending order inside each bucket is load-bearing: the gather kernels
-/// below fold each output cell's contributions in exactly the order the serial
+/// (the ablation and `apply_vector`) fold each output cell's contributions in exactly the order the serial
 /// scatter would, so their results are bit-for-bit identical for any thread
 /// count — the same ascending-global-row-order contract the distributed driver
 /// proves at the shard level.
@@ -285,100 +274,51 @@ fn invert_row_map(k: usize, targets: &[usize]) -> (Vec<usize>, Vec<usize>) {
 /// `out` is an accumulator — callers zero it first when they want `S A`.
 ///
 /// On the GPU this is the atomic scatter of Algorithm 2 (and the cost model
-/// charges it as such); on the host the row map is inverted first and every
-/// *output* row gathers its inputs in ascending `j`.  Disjoint output rows make
-/// the parallel loop scheduling-order-immune, and the ascending fold reproduces
-/// the serial scatter's per-cell accumulation order — so the result is
-/// bit-for-bit identical for 1 or N threads, and for any split of `0..d` into
-/// contiguous ranges added in ascending order.
+/// charges it as such); on the host it is the serial scatter in ascending `j`,
+/// which streams `A` front to back and keeps only the small `k x n` output
+/// cache-resident.  Every output cell therefore folds its contributions in
+/// ascending input-row order, so the result is bit-for-bit identical for any
+/// thread count, and for any split of `0..d` into contiguous ranges added in
+/// ascending order.
 fn scatter_rows_into(
     rows: Range<usize>,
     out: &mut MatrixViewMut<'_>,
     a: Operand<'_>,
-    target_of: impl Fn(usize) -> (usize, f64) + Sync,
+    target_of: impl Fn(usize) -> (usize, f64),
 ) {
     let n = a.ncols();
-    let k = out.nrows();
-    if out.layout() == Layout::RowMajor {
-        let targets: Vec<usize> = rows.clone().map(|j| target_of(j).0).collect();
-        let (counts, members) = invert_row_map(k, &targets);
-        // Bucket members are offsets into `rows`, still in ascending order.
-        let inputs = |r: usize| {
-            members[counts[r]..counts[r + 1]]
-                .iter()
-                .map(|&m| rows.start + m)
-        };
-        let data = out.as_mut_slice();
-        match a {
-            Operand::Dense(m) if m.layout() == Layout::RowMajor => {
-                let a_data = m.as_slice();
-                data.par_chunks_mut_outer(n, |r, out_row| {
-                    for j in inputs(r) {
-                        let (_, sign) = target_of(j);
-                        let row = &a_data[j * n..(j + 1) * n];
-                        for (slot, &v) in out_row.iter_mut().zip(row) {
-                            *slot += sign * v;
-                        }
-                    }
-                });
-            }
-            Operand::Dense(m) => {
-                data.par_chunks_mut_outer(n, |r, out_row| {
-                    for j in inputs(r) {
-                        let (_, sign) = target_of(j);
-                        for (c, slot) in out_row.iter_mut().enumerate() {
-                            *slot += sign * m.get(j, c);
-                        }
-                    }
-                });
-            }
-            Operand::Csr(s) => {
-                data.par_chunks_mut_outer(n, |r, out_row| {
-                    for j in inputs(r) {
-                        let (_, sign) = target_of(j);
-                        for (c, v) in s.row(j) {
-                            out_row[c] += sign * v;
-                        }
-                    }
-                });
-            }
-            Operand::CsrRows(v) => {
-                data.par_chunks_mut_outer(n, |r, out_row| {
-                    for j in inputs(r) {
-                        let (_, sign) = target_of(j);
-                        for (c, val) in v.row(j) {
-                            out_row[c] += sign * val;
-                        }
-                    }
-                });
+    match a {
+        Operand::Dense(m) if m.layout() == Layout::RowMajor && out.layout() == Layout::RowMajor => {
+            let (a_data, data) = (m.as_slice(), out.as_mut_slice());
+            for j in rows {
+                let (target, sign) = target_of(j);
+                let out_row = &mut data[target * n..(target + 1) * n];
+                for (slot, &v) in out_row.iter_mut().zip(&a_data[j * n..(j + 1) * n]) {
+                    *slot += sign * v;
+                }
             }
         }
-    } else {
-        // Column-major output: strided rows cannot be handed out as disjoint
-        // slices, so keep the serial ascending-j scatter (identical fold order).
-        match a {
-            Operand::Dense(m) => {
-                for j in rows {
-                    let (target, sign) = target_of(j);
-                    for c in 0..n {
-                        out.add_to(target, c, sign * m.get(j, c));
-                    }
+        Operand::Dense(m) => {
+            for j in rows {
+                let (target, sign) = target_of(j);
+                for c in 0..n {
+                    out.add_to(target, c, sign * m.get(j, c));
                 }
             }
-            Operand::Csr(s) => {
-                for j in rows {
-                    let (target, sign) = target_of(j);
-                    for (c, v) in s.row(j) {
-                        out.add_to(target, c, sign * v);
-                    }
+        }
+        Operand::Csr(s) => {
+            for j in rows {
+                let (target, sign) = target_of(j);
+                for (c, v) in s.row(j) {
+                    out.add_to(target, c, sign * v);
                 }
             }
-            Operand::CsrRows(v) => {
-                for j in rows {
-                    let (target, sign) = target_of(j);
-                    for (c, val) in v.row(j) {
-                        out.add_to(target, c, sign * val);
-                    }
+        }
+        Operand::CsrRows(v) => {
+            for j in rows {
+                let (target, sign) = target_of(j);
+                for (c, val) in v.row(j) {
+                    out.add_to(target, c, sign * val);
                 }
             }
         }
@@ -399,8 +339,8 @@ impl SketchOperator for CountSketch {
     }
 
     /// Apply via **Algorithm 2**: modelled as one parallel task per input row with
-    /// atomic adds, executed on the host as a deterministic ordered gather into the
-    /// caller-owned output (see the module docs).
+    /// atomic adds, executed on the host as a deterministic ascending-row scatter
+    /// into the caller-owned output (see the module docs).
     ///
     /// Dense `A` should be row-major for coalesced reads (Section 6.1); a column-major
     /// operand is accepted but charged the uncoalesced-read penalty.  CSR operands are

@@ -80,8 +80,8 @@ pub fn distributed_sketch(
 /// of `S`: it streams its local rows into the shared `k x n` accumulator in
 /// increasing global row order.  The single-device kernel folds each output
 /// cell's contributions in that same ascending order — by construction of its
-/// ordered gather, for **any** thread count of the workspace's threaded rayon
-/// shim — so the reduced result is **bit-for-bit identical** to
+/// ascending-row scatter, for **any** thread count of the workspace's threaded
+/// rayon shim — so the reduced result is **bit-for-bit identical** to
 /// `sketch.apply_matrix(device, a)`, the property the
 /// `distributed_equivalence` integration test pins down.
 pub fn distributed_countsketch(

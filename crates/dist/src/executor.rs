@@ -475,7 +475,7 @@ pub fn pipelined_sketch<'a>(
 /// How one shard of a stage computes; the axis follows from it.
 enum ShardKernel<'s> {
     /// Row shards add their block rows into one shared accumulator through the
-    /// CountSketch gather; each is followed by a chained ring fold of the
+    /// CountSketch scatter; each is followed by a chained ring fold of the
     /// whole `k x n` accumulator.
     Rows(&'s CountSketch),
     /// Column panels apply the full operator to their own columns, written

@@ -23,8 +23,8 @@
 //!
 //! The distributed CountSketch folds contributions in global row order, and the
 //! single-device kernel folds each output cell in that same ascending order by
-//! construction (an ordered gather, independent of thread count under the
-//! workspace's threaded rayon shim) — so the two results are **bit-for-bit
+//! construction (an ascending-row scatter, independent of thread count under
+//! the workspace's threaded rayon shim) — so the two results are **bit-for-bit
 //! identical**.
 //!
 //! On top of the volume model sits the **multi-device pipelined executor**

@@ -10,9 +10,9 @@
 //! the *order* in which concurrent [`AtomicF64`] adds land on one cell is
 //! scheduling-dependent; f64 addition is not associative, so a sum accumulated
 //! through atomics is reproducible only up to rounding.  That mirrors the GPU
-//! exactly — and is why the workspace's bit-exact kernels (CountSketch, SpMM)
-//! are structured as ordered gathers over *disjoint* outputs instead of atomic
-//! scatters.  [`parallel_for`] / [`parallel_for_chunks`] themselves cut blocks
+//! exactly — and is why the workspace's bit-exact kernels fold in a fixed order
+//! instead of through atomics: the CountSketch as a serial ascending-row
+//! scatter, SpMM as gathers over *disjoint* output rows.  [`parallel_for`] / [`parallel_for_chunks`] themselves cut blocks
 //! by length only and stay deterministic whenever block writes are disjoint.
 
 use rayon::prelude::*;

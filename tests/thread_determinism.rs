@@ -211,10 +211,10 @@ fn countsketch_of_csr_end_to_end_is_thread_count_invariant() {
 }
 
 #[test]
-fn row_shards_through_the_parallel_gather_are_thread_count_invariant() {
-    // A 512 x 16 accumulator is past the shim's serial threshold, so every
-    // row shard folds through the parallel ordered gather: shards and threads
-    // must compose into the single-device bits.
+fn row_shards_through_the_countsketch_scatter_are_thread_count_invariant() {
+    // Every row shard folds its rows into one 512 x 16 accumulator through the
+    // CountSketch kernel: shards and threads must compose into the
+    // single-device bits.
     let a = Matrix::random_gaussian(4096, 16, Layout::RowMajor, 5, 0);
     let plan = Pipeline::single(SketchSpec::countsketch(4096, EmbeddingDim::Square(2), 9));
     let run_on = |devices: usize| {
