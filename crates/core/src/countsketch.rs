@@ -247,11 +247,10 @@ impl CountSketch {
 /// where `members[counts[r]..counts[r + 1]]` lists, **in ascending input-row
 /// order**, every `j` with `target(j) == r`.
 ///
-/// The ascending order inside each bucket is load-bearing: the gather kernels
-/// (the ablation and `apply_vector`) fold each output cell's contributions in exactly the order the serial
-/// scatter would, so their results are bit-for-bit identical for any thread
-/// count — the same ascending-global-row-order contract the distributed driver
-/// proves at the shard level.
+/// The ascending order inside each bucket is load-bearing: the gather ablation
+/// folds each output cell's contributions in exactly the order the serial
+/// scatter would, so its results are bit-for-bit identical for any thread
+/// count.
 fn invert_row_map(k: usize, targets: &[usize]) -> (Vec<usize>, Vec<usize>) {
     let mut counts = vec![0usize; k + 1];
     for &r in targets {
@@ -362,15 +361,8 @@ impl SketchOperator for CountSketch {
     fn apply_vector(&self, device: &Device, x: &[f64]) -> Result<Vec<f64>, Error> {
         self.check_input_dim(x.len())?;
         let mut y = vec![0.0; self.k];
-        {
-            use rayon::prelude::*;
-            let (counts, members) = invert_row_map(self.k, &self.rows);
-            let signs = &self.signs;
-            y.par_iter_mut().enumerate().for_each(|(r, slot)| {
-                for &j in &members[counts[r]..counts[r + 1]] {
-                    *slot += if signs[j] { x[j] } else { -x[j] };
-                }
-            });
+        for ((&v, &r), &sign) in x.iter().zip(&self.rows).zip(&self.signs) {
+            y[r] += if sign { v } else { -v };
         }
         let d = self.d as u64;
         device.record(KernelCost::new(
@@ -505,16 +497,9 @@ impl SketchOperator for HashCountSketch {
     fn apply_vector(&self, device: &Device, x: &[f64]) -> Result<Vec<f64>, Error> {
         self.check_input_dim(x.len())?;
         let mut y = vec![0.0; self.k];
-        {
-            use rayon::prelude::*;
-            let targets: Vec<usize> = (0..self.d).map(|j| self.hash(j).0).collect();
-            let (counts, members) = invert_row_map(self.k, &targets);
-            y.par_iter_mut().enumerate().for_each(|(r, slot)| {
-                for &j in &members[counts[r]..counts[r + 1]] {
-                    let (_, sign) = self.hash(j);
-                    *slot += sign * x[j];
-                }
-            });
+        for (j, &v) in x.iter().enumerate() {
+            let (r, sign) = self.hash(j);
+            y[r] += sign * v;
         }
         let d = self.d as u64;
         device.record(KernelCost::new(
