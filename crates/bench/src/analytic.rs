@@ -8,6 +8,7 @@
 
 use sketch_core::fwht::global_passes;
 use sketch_core::fwht::DEFAULT_TILE;
+use sketch_dist::CommCost;
 use sketch_gpu_sim::{KernelCost, Phase};
 
 /// Bytes of `n` doubles.
@@ -179,6 +180,20 @@ impl SketchMethod {
                     + KernelCost::new(f64b(k * n64) + 4 * k, f64b(k * n64), k * n64, 1)
             }
         }
+    }
+
+    /// Section 7's rank-local model of the sketch on a `d x n` operand split block-row
+    /// across `p` ranks: each rank applies its column slice of the global operator to
+    /// its own rows, then the `embedding_dim(n) x n` partials are ring-allreduced.
+    ///
+    /// Returns the allreduce's [`CommCost`] and the kernel cost of the largest rank,
+    /// which holds `ceil(d / p)` rows.  This is a cost model only: the executor keeps
+    /// its results bitwise by allreducing the Count→Gauss intermediate instead.
+    pub fn rank_local_cost(&self, d: usize, n: usize, p: usize) -> (CommCost, KernelCost) {
+        (
+            CommCost::allreduce(p, self.embedding_dim(n), n),
+            self.apply_cost(d.div_ceil(p), n),
+        )
     }
 
     /// The *useful* (Table 1) traffic and arithmetic, used to normalise Figures 3–4.
@@ -423,45 +438,69 @@ mod tests {
     }
 
     /// The guarantee behind the paper-scale projections: the analytic formulas must
-    /// match the costs the real kernels record, byte for byte and flop for flop.
+    /// match the costs the real kernels record, byte for byte and flop for flop.  The
+    /// shapes include the rank slices of the Section 7 table (`d.div_ceil(p)` rows),
+    /// uneven ones too, so [`SketchMethod::rank_local_cost`] is pinned as well.
     #[test]
     fn analytic_apply_costs_match_recorded_costs() {
-        let d = 2048usize;
-        let n = 16usize;
-        let a = Matrix::random_gaussian(d, n, Layout::RowMajor, 1, 0);
-
-        for method in SketchMethod::ALL {
-            let device = Device::unlimited();
-            match method {
-                SketchMethod::Gram => {
-                    let _ = gram_gemm(&device, &a).unwrap();
+        let shapes = [
+            (2048usize, 16usize),
+            // Section 7 table (d = 2^14, n = 32): the largest rank at p = 2 and p = 16.
+            ((1 << 14) / 2, 32),
+            ((1 << 14) / 16, 32),
+            // An uneven split: d = 3000 over p = 7 ranks.
+            (3000usize.div_ceil(7), 8),
+        ];
+        for (d, n) in shapes {
+            let a = Matrix::random_gaussian(d, n, Layout::RowMajor, 1, 0);
+            for method in SketchMethod::ALL {
+                let device = Device::unlimited();
+                match method {
+                    SketchMethod::Gram => {
+                        let _ = gram_gemm(&device, &a).unwrap();
+                    }
+                    SketchMethod::CountSpmm => {
+                        let s = pipeline_of(method, d, 3).unwrap().stages[0]
+                            .resolve(n)
+                            .build_countsketch(&device)
+                            .unwrap();
+                        device.tracker().reset();
+                        let _ = s.apply_matrix_spmm(&device, &a).unwrap();
+                    }
+                    _ => {
+                        let s = pipeline_of(method, d, 3)
+                            .unwrap()
+                            .build_for(&device, n)
+                            .unwrap();
+                        device.tracker().reset();
+                        let _ = s.apply_matrix(&device, &a).unwrap();
+                    }
                 }
-                SketchMethod::CountSpmm => {
-                    let s = pipeline_of(method, d, 3).unwrap().stages[0]
-                        .resolve(n)
-                        .build_countsketch(&device)
-                        .unwrap();
-                    device.tracker().reset();
-                    let _ = s.apply_matrix_spmm(&device, &a).unwrap();
-                }
-                _ => {
-                    let s = pipeline_of(method, d, 3)
-                        .unwrap()
-                        .build_for(&device, n)
-                        .unwrap();
-                    device.tracker().reset();
-                    let _ = s.apply_matrix(&device, &a).unwrap();
-                }
+                let recorded = device.tracker().snapshot();
+                let analytic = method.apply_cost(d, n);
+                assert_eq!(
+                    recorded,
+                    analytic,
+                    "{} at {d}x{n}: recorded {recorded:?} vs analytic {analytic:?}",
+                    method.label()
+                );
             }
-            let recorded = device.tracker().snapshot();
-            let analytic = method.apply_cost(d, n);
-            assert_eq!(
-                recorded,
-                analytic,
-                "{}: recorded {recorded:?} vs analytic {analytic:?}",
-                method.label()
-            );
         }
+    }
+
+    /// Section 7's ordering: the multisketch reduces the same `2n x n` matrix as the
+    /// Gaussian, far less than the CountSketch's `2n² x n`, while its largest rank's
+    /// arithmetic sits between the CountSketch's and the Gaussian GEMM's.
+    #[test]
+    fn rank_local_costs_order_the_section7_methods() {
+        let (d, n, p) = (1 << 12, 8, 4);
+        let (comm_c, cost_c) = SketchMethod::CountAlg2.rank_local_cost(d, n, p);
+        let (comm_g, cost_g) = SketchMethod::Gaussian.rank_local_cost(d, n, p);
+        let (comm_m, cost_m) = SketchMethod::MultiSketch.rank_local_cost(d, n, p);
+        assert_eq!(comm_m.total_words(), comm_g.total_words());
+        assert!(comm_c.total_words() > comm_m.total_words());
+        assert!(cost_c.flops < cost_m.flops);
+        assert!(cost_m.flops < cost_g.flops);
     }
 
     #[test]

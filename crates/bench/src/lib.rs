@@ -26,7 +26,7 @@
 //! | `fig6_residual_easy` | Figure 6 (relative residuals, easy problem) |
 //! | `fig7_residual_hard` | Figure 7 (relative residuals, hard problem) |
 //! | `fig8_stability` | Figure 8 (residual vs condition number) |
-//! | `dist_comm` | Section 7 communication-volume comparison |
+//! | `dist_comm` | Section 7 communication-volume comparison (cost model; fails if the multisketch stops communicating like the Gaussian) |
 //! | `ablations` | design-choice ablations (atomic vs gather, layouts, radix, SyRK) |
 //! | `fig_scaling` | multi-device strong/weak scaling + overlap ablation (modelled) |
 //! | `fig_walltime` | measured wall-clock across thread counts + bitwise gate |

@@ -107,9 +107,9 @@ impl CountSketch {
     /// with `d_rows` input rows and `k` output rows to an operand with `ncols`
     /// columns.
     ///
-    /// Exposed so other drivers (e.g. `sketch-dist`, which applies row slices
-    /// of one global sketch per rank) charge exactly the same model as the
-    /// single-device kernel instead of duplicating the formula.
+    /// Row slices of one global sketch ([`CountSketch::accumulate_rows`], the
+    /// executor's row shards) charge exactly this model, as the single-device
+    /// kernel does, so the formula lives in one place.
     pub fn apply_cost(d_rows: usize, k: usize, ncols: usize, col_major_input: bool) -> KernelCost {
         let d = d_rows as u64;
         let n = ncols as u64;

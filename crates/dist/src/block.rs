@@ -53,40 +53,6 @@ impl BlockRowMatrix {
         }
     }
 
-    /// Partition `a` into the given contiguous row ranges (one block per range), in
-    /// order.  The ranges must tile `0..a.nrows()` exactly; the executor uses this
-    /// to split along a [`Schedule`](crate::executor::Schedule)'s shard boundaries.
-    ///
-    /// # Panics
-    /// Panics if the ranges do not tile the row space contiguously from zero.
-    pub fn split_ranges(a: &Matrix, ranges: impl IntoIterator<Item = Range<usize>>) -> Self {
-        let mut offsets = vec![0usize];
-        let mut blocks = Vec::new();
-        let mut cursor = 0usize;
-        for range in ranges {
-            assert_eq!(
-                range.start, cursor,
-                "ranges must tile the rows contiguously"
-            );
-            assert!(range.end >= range.start, "ranges must be forward");
-            blocks.push(Matrix::from_fn(
-                range.len(),
-                a.ncols(),
-                a.layout(),
-                |i, j| a.get(range.start + i, j),
-            ));
-            cursor = range.end;
-            offsets.push(cursor);
-        }
-        assert_eq!(cursor, a.nrows(), "ranges must cover every row");
-        assert!(!blocks.is_empty(), "need at least one range");
-        Self {
-            blocks,
-            offsets,
-            ncols: a.ncols(),
-        }
-    }
-
     /// Number of simulated ranks.
     pub fn num_processes(&self) -> usize {
         self.blocks.len()

@@ -38,7 +38,6 @@
 //! successful-episodes-only) replay the recorded episodes, untraced.
 
 use crate::comm::CommCost;
-use crate::error::DistError;
 use sketch_core::{CountSketch, Error, Operand, Pipeline, ShardAxis, SketchKind, SketchOperator};
 use sketch_gpu_sim::{
     Device, DeviceFailed, DevicePool, Event, KernelCost, StreamKind, StreamSet, Timeline,
@@ -327,7 +326,7 @@ pub fn pipelined_sketch<'a>(
     a: impl Into<Operand<'a>>,
     plan: &Pipeline,
     opts: &ExecutorOptions,
-) -> Result<PipelinedRun, DistError> {
+) -> Result<PipelinedRun, Error> {
     let a: Operand<'a> = a.into();
     let resolved = plan.resolve(a.ncols())?;
     let p = pool.num_devices();
@@ -382,7 +381,7 @@ pub fn pipelined_sketch<'a>(
                         spec.build_hash_countsketch(build_device)?.to_explicit()
                     }
                     other => {
-                        return Err(DistError::invalid_param(format!(
+                        return Err(Error::invalid_param(format!(
                             "{} is not a row-sharded sketch kind",
                             other.as_str()
                         )))
@@ -411,7 +410,7 @@ pub fn pipelined_sketch<'a>(
         current = Some(out);
     }
 
-    let result = current.ok_or_else(|| DistError::invalid_param("pipeline has no stages"))?;
+    let result = current.ok_or_else(|| Error::invalid_param("pipeline has no stages"))?;
     let timeline = state.streams.finish();
 
     // The recovery price: how much the full makespan (aborted attempts
@@ -631,7 +630,7 @@ impl ExecState {
         input: Operand<'_>,
         stage: &Stage<'_>,
         opts: &ExecutorOptions,
-    ) -> Result<(Matrix, Schedule), DistError> {
+    ) -> Result<(Matrix, Schedule), Error> {
         let extent = match stage.axis() {
             ShardAxis::Rows => input.nrows(),
             ShardAxis::Cols => input.ncols(),
@@ -710,7 +709,7 @@ impl ExecState {
         input: Operand<'_>,
         stage: &Stage<'_>,
         schedule: &Schedule,
-    ) -> Result<Attempt, DistError> {
+    ) -> Result<Attempt, Error> {
         let (k, n) = (stage.k, input.ncols());
         let collective = self.alive.len() > 1;
         let (mut out, csr_panels) = match stage.shard {

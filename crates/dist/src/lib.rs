@@ -1,58 +1,28 @@
 //! # sketch-dist
 //!
-//! Block-row distributed sketching simulation (Section 7 of the paper).
+//! Multi-device sketching: one pipelined executor over a simulated device pool.
 //!
-//! The paper closes by arguing that the Count-Gauss multisketch "will almost
-//! certainly outperform the Gaussian in a distributed setting": both reduce the
-//! same tiny `2n x n` matrix across processes, but the multisketch's local work
-//! is CountSketch-shaped rather than a fat GEMM.  This crate reproduces that
-//! argument quantitatively:
+//! The **multi-device pipelined executor** ([`executor`], entry point
+//! [`pipelined_sketch`]) runs a [`Pipeline`](sketch_core::Pipeline) of sketch
+//! stages across a [`DevicePool`](sketch_gpu_sim::DevicePool), each stage
+//! sharded along its bitwise-lossless [`ShardAxis`](sketch_core::ShardAxis),
+//! with each shard's ring collective overlapped against the next shard's
+//! compute on simulated streams.  The executed result stays bit-for-bit
+//! identical to single-device execution for every sketch kind, independent of
+//! shard and device count.  Alongside it:
 //!
-//! * [`BlockRowMatrix`] — a tall matrix partitioned into `P` contiguous row
-//!   blocks, one per simulated rank;
-//! * [`distributed_sketch`] — the spec-driven entry point: build the sketch
-//!   described by a [`sketch_core::Pipeline`] and dispatch to the matching
-//!   typed driver;
-//! * [`distributed_countsketch`] / [`distributed_gaussian`] /
-//!   [`distributed_multisketch`] — apply one *global* sketch to the distributed
-//!   matrix: every rank sketches its local block with its slice of the
-//!   operator, then the partial results are allreduce-summed;
-//! * [`DistributedRun`] — the reduced result plus per-process
-//!   [`KernelCost`](sketch_gpu_sim::KernelCost)s and the modelled [`CommCost`]
-//!   of the allreduce.
+//! * [`CommCost`] — the modelled volume of the ring collectives;
+//! * [`BlockRowMatrix`] — a tall matrix partitioned into contiguous row
+//!   blocks, the streaming source of the single-pass low-rank driver.
 //!
-//! The distributed CountSketch folds contributions in global row order, and the
-//! single-device kernel folds each output cell in that same ascending order by
-//! construction (an ascending-row scatter, independent of thread count under
-//! the workspace's threaded rayon shim) — so the two results are **bit-for-bit
-//! identical**.
-//!
-//! On top of the volume model sits the **multi-device pipelined executor**
-//! ([`executor`]): a [`Pipeline`](sketch_core::Pipeline) of sketch stages runs
-//! across a [`DevicePool`](sketch_gpu_sim::DevicePool), each stage sharded along
-//! its bitwise-lossless [`ShardAxis`](sketch_core::ShardAxis), with each shard's
-//! ring collective overlapped against the next shard's compute on simulated
-//! streams.  The executed result stays bit-for-bit identical to single-device
-//! execution for every sketch kind, independent of shard and device count.
-//!
-//! ## Example: the Section 7 volume model
-//!
-//! ```
-//! use sketch_core::{EmbeddingDim, Pipeline, SketchOperator, SketchSpec};
-//! use sketch_dist::{distributed_sketch, BlockRowMatrix};
-//! use sketch_gpu_sim::Device;
-//! use sketch_la::{Layout, Matrix};
-//!
-//! let device = Device::unlimited();
-//! let a = Matrix::random_gaussian(1 << 10, 8, Layout::RowMajor, 1, 0);
-//! let spec = SketchSpec::countsketch(1 << 10, EmbeddingDim::Exact(128), 2);
-//! let dist = BlockRowMatrix::split(&a, 4);
-//! let run = distributed_sketch(&device, &dist, &Pipeline::single(spec.clone())).unwrap();
-//! let single = spec.build(&device).unwrap().apply_matrix(&device, &a).unwrap();
-//! assert_eq!(run.result.max_abs_diff(&single).unwrap(), 0.0);
-//! assert_eq!(run.per_process_cost.len(), 4);
-//! assert!(run.comm.total_words() > 0);
-//! ```
+//! The paper's Section 7 argument — the Count-Gauss multisketch reduces the
+//! same tiny `2n x n` matrix as the Gaussian while its per-rank work stays
+//! CountSketch-shaped — assumes each rank runs the whole pipeline on its own
+//! rows and sums the `2n x n` partials.  That reassociates the arithmetic, so
+//! the executor does not run it: to stay bitwise it allreduces the `2n² x n`
+//! CountSketch intermediate instead.  Section 7 is therefore reproduced as a
+//! cost model (`sketch-bench`'s `dist_comm` table, from [`CommCost`] and the
+//! per-rank kernel costs), not as an execution mode.
 //!
 //! ## Example: pipelined execution on four simulated H100s
 //!
@@ -81,17 +51,10 @@
 
 pub mod block;
 pub mod comm;
-pub mod drivers;
-pub mod error;
 pub mod executor;
 
 pub use block::BlockRowMatrix;
 pub use comm::{CommCost, CommPattern};
-pub use drivers::{
-    distributed_countsketch, distributed_gaussian, distributed_multisketch, distributed_sketch,
-    DistributedRun,
-};
-pub use error::DistError;
 pub use executor::{
     pipelined_sketch, DeviceFailure, ExecutorOptions, FaultReport, PipelinedRun, Schedule,
     ShardAssignment,

@@ -440,9 +440,13 @@ impl<'a> Parser<'a> {
                 return Ok(JsonValue::UInt(v));
             }
         }
-        text.parse::<f64>()
-            .map(JsonValue::Float)
-            .map_err(|_| self.err("invalid number"))
+        // A literal beyond f64's range would parse to ±inf and render back as
+        // `null`, silently changing the document: refuse it.
+        match text.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(JsonValue::Float(v)),
+            Ok(_) => Err(self.err("number out of range")),
+            Err(_) => Err(self.err("invalid number")),
+        }
     }
 }
 
@@ -462,6 +466,15 @@ mod tests {
             JsonValue::parse("\"hi\\n\\\"there\\\"\"").unwrap(),
             JsonValue::Str("hi\n\"there\"".into())
         );
+    }
+
+    #[test]
+    fn non_finite_number_literals_are_rejected() {
+        for text in ["1e999999", "-1e999999"] {
+            let err = JsonValue::parse(text).unwrap_err();
+            assert!(err.message().contains("number out of range"), "{err}");
+        }
+        assert_eq!(JsonValue::parse("1e308").unwrap(), JsonValue::Float(1e308));
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //!
 //! The resource models are the job's own declarative estimates
 //! ([`JobSpec::sketch_output_bytes`], [`JobSpec::modelled_flops`]): admission
-//! is decided *before* any operand is materialised.
+//! is decided *before* any operand is materialised, and an operand recipe too
+//! large to materialise at all is refused first
+//! ([`RejectReason::OperandTooLarge`]).
 
 use crate::error::{RejectReason, ServeError};
 use crate::job::JobSpec;
@@ -182,6 +184,12 @@ impl AdmissionController {
             tenant: job.tenant.clone(),
             reason,
         };
+        if job.operand.largest_allocation().is_none() {
+            return Err(reject(RejectReason::OperandTooLarge {
+                rows: job.operand.rows(),
+                cols: job.operand.cols(),
+            }));
+        }
         if tenant_in_flight >= limits.max_in_flight {
             return Err(reject(RejectReason::TooManyInFlight {
                 limit: limits.max_in_flight,

@@ -21,6 +21,14 @@ pub enum RejectReason {
         /// The tenant's in-flight limit.
         limit: usize,
     },
+    /// The operand recipe is too large to materialise: a buffer it needs
+    /// overflows `usize` or exceeds the `isize::MAX`-byte allocation limit.
+    OperandTooLarge {
+        /// Operand rows asked for.
+        rows: usize,
+        /// Operand columns asked for.
+        cols: usize,
+    },
     /// The job's modelled sketch output exceeds the tenant's byte budget.
     SketchBytesExceeded {
         /// Modelled bytes the job would produce.
@@ -57,6 +65,7 @@ impl RejectReason {
         match self {
             RejectReason::QueueFull { .. } => "queue_full",
             RejectReason::TooManyInFlight { .. } => "too_many_in_flight",
+            RejectReason::OperandTooLarge { .. } => "operand_too_large",
             RejectReason::SketchBytesExceeded { .. } => "sketch_bytes_exceeded",
             RejectReason::FlopsExceeded { .. } => "flops_exceeded",
             RejectReason::RetriesExhausted { .. } => "retries_exhausted",
@@ -73,6 +82,9 @@ impl std::fmt::Display for RejectReason {
             }
             RejectReason::TooManyInFlight { limit } => {
                 write!(f, "tenant already has {limit} job(s) in flight")
+            }
+            RejectReason::OperandTooLarge { rows, cols } => {
+                write!(f, "a {rows} x {cols} operand is too large to materialise")
             }
             RejectReason::SketchBytesExceeded { modelled, limit } => write!(
                 f,

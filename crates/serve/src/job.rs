@@ -143,6 +143,28 @@ impl OperandSpec {
         }
     }
 
+    /// Bytes of the largest single buffer [`OperandSpec::materialize`] allocates
+    /// (the dense entries, or a sparse operand's COO triplets or `rows + 1` row
+    /// pointers), or `None` when that size overflows or exceeds the
+    /// `isize::MAX`-byte allocation limit.  O(1): admission calls it on every job.
+    pub(crate) fn largest_allocation(&self) -> Option<usize> {
+        let bytes = match *self {
+            OperandSpec::Dense { rows, cols, .. } => {
+                rows.checked_mul(cols)?.checked_mul(size_of::<f64>())?
+            }
+            OperandSpec::Csr {
+                rows, nnz_target, ..
+            } => {
+                let triplets = nnz_target
+                    .max(1)
+                    .checked_mul(size_of::<(usize, usize, f64)>())?;
+                let row_ptr = rows.checked_add(1)?.checked_mul(size_of::<usize>())?;
+                triplets.max(row_ptr)
+            }
+        };
+        (bytes <= isize::MAX as usize).then_some(bytes)
+    }
+
     /// Materialise the operand from its recipe (deterministic per spec).
     pub fn materialize(&self) -> OperandData {
         match *self {
@@ -465,6 +487,30 @@ mod tests {
         .with_deadline(DeadlineClass::Interactive)
         .with_devices(2)
         .with_arrival(0.25)
+    }
+
+    #[test]
+    fn largest_allocation_is_checked_arithmetic() {
+        let dense = |rows, cols| OperandSpec::Dense {
+            rows,
+            cols,
+            seed: 1,
+        };
+        let csr = |rows, nnz_target| OperandSpec::Csr {
+            rows,
+            cols: 4,
+            nnz_target,
+            seed: 1,
+        };
+        assert_eq!(dense(512, 6).largest_allocation(), Some(512 * 6 * 8));
+        // Triplets dominate a sparse operand unless it has very many rows.
+        assert_eq!(csr(100, 50).largest_allocation(), Some(50 * 24));
+        assert_eq!(csr(1000, 10).largest_allocation(), Some(1001 * 8));
+        // Overflowing `usize`, or beyond the isize::MAX-byte allocation limit.
+        assert_eq!(dense(usize::MAX, 8).largest_allocation(), None);
+        assert_eq!(dense(1 << 31, 1 << 31).largest_allocation(), None);
+        assert_eq!(csr(usize::MAX, 1).largest_allocation(), None);
+        assert_eq!(csr(10, usize::MAX / 8).largest_allocation(), None);
     }
 
     #[test]

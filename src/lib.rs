@@ -16,7 +16,7 @@
 //! * [`sparse`] — the sparse (SpMM) substrate,
 //! * [`gpu`] — the simulated device, cost counters and roofline model,
 //! * [`rng`] — the Philox counter-based random number generator,
-//! * [`dist`] — the block-row distributed sketching simulation,
+//! * [`dist`] — the multi-device pipelined executor and its communication model,
 //! * [`serve`] — the multi-tenant job engine that co-schedules sketch
 //!   pipelines on a shared [`DevicePool`](sketch_gpu_sim::DevicePool)
 //!   (admission control, fair queueing, per-tenant ledgers).
@@ -108,7 +108,6 @@ pub mod prelude {
         SketchOperator, SketchSpec, Srht,
     };
     pub use sketch_dist::{
-        distributed_countsketch, distributed_gaussian, distributed_multisketch, distributed_sketch,
         pipelined_sketch, BlockRowMatrix, CommCost, DeviceFailure, ExecutorOptions, FaultReport,
         PipelinedRun, Schedule,
     };

@@ -1,6 +1,10 @@
-//! Integration tests for `sketch-dist`: a P-rank distributed CountSketch must
-//! reproduce the single-device kernel bit-for-bit from the same Philox seed,
-//! and the modelled allreduce volume must scale as `2 (P-1) · k · n` words.
+//! Integration test for `sketch-dist`'s communication model: a CountSketch run
+//! through the pipelined executor on `P` devices allreduces its `k x n` result,
+//! and the modelled volume must scale as `2 (P-1) · k · n` words.
+//!
+//! Bitwise equality across device counts is pinned by
+//! `multi_device_determinism.rs`; the Section 7 comparison of the three sketches
+//! is a cost model, pinned in `sketch-bench`'s `analytic` tests.
 
 use gpu_countsketch::prelude::*;
 
@@ -9,50 +13,17 @@ const N: usize = 16;
 const SEED: u64 = 2025;
 
 #[test]
-fn distributed_countsketch_is_bit_for_bit_equal_to_single_device() {
-    let device = Device::unlimited();
-    let a = Matrix::random_gaussian(D, N, Layout::RowMajor, SEED, 0);
-    // Same Philox seed => same sketch on the "single device" and on the ranks.
-    let sketch = SketchSpec::countsketch(D, EmbeddingDim::Square(2), SEED)
-        .resolve(N)
-        .build_countsketch(&device)
-        .expect("valid spec");
-    let single = sketch.apply_matrix(&device, &a).expect("single device");
-
-    for p in [1usize, 2, 3, 4, 7, 16] {
-        let dist = BlockRowMatrix::split(&a, p);
-        let run = distributed_countsketch(&device, &dist, &sketch).expect("distributed");
-        // Bit-for-bit: every element identical, not merely within rounding.
-        assert_eq!(run.result.nrows(), single.nrows());
-        assert_eq!(run.result.ncols(), single.ncols());
-        for i in 0..single.nrows() {
-            for j in 0..single.ncols() {
-                assert!(
-                    run.result.get(i, j).to_bits() == single.get(i, j).to_bits(),
-                    "P = {p}: element ({i}, {j}) differs: {} vs {}",
-                    run.result.get(i, j),
-                    single.get(i, j)
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn comm_volume_scales_linearly_in_processes_minus_one() {
-    let device = Device::unlimited();
     let a = Matrix::random_gaussian(D, N, Layout::RowMajor, SEED, 1);
     let k = 2 * N * N;
-    let sketch = SketchSpec::countsketch(D, EmbeddingDim::Exact(k), SEED)
-        .build_countsketch(&device)
-        .expect("valid spec");
+    let plan = Pipeline::single(SketchSpec::countsketch(D, EmbeddingDim::Exact(k), SEED));
 
     let words_at = |p: usize| {
-        let dist = BlockRowMatrix::split(&a, p);
-        distributed_countsketch(&device, &dist, &sketch)
-            .expect("distributed")
-            .comm
-            .total_words()
+        let pool = DevicePool::unlimited(p);
+        let run =
+            pipelined_sketch(&pool, &a, &plan, &ExecutorOptions::default()).expect("pipelined");
+        assert_eq!(run.comm.len(), 1, "one stage, one collective");
+        run.comm[0].total_words()
     };
 
     // P = 1 is a no-op allreduce.
@@ -62,41 +33,4 @@ fn comm_volume_scales_linearly_in_processes_minus_one() {
     for p in [2u64, 4, 8, 16] {
         assert_eq!(words_at(p as usize), expected(p), "P = {p}");
     }
-}
-
-#[test]
-fn all_three_distributed_sketches_agree_with_their_single_device_versions() {
-    let device = Device::unlimited();
-    let a = Matrix::random_gaussian(D, N, Layout::RowMajor, SEED, 2);
-    let dist = BlockRowMatrix::split(&a, 8);
-
-    let count = SketchSpec::countsketch(D, EmbeddingDim::Square(2), SEED)
-        .resolve(N)
-        .build_countsketch(&device)
-        .expect("valid spec");
-    let gauss = SketchSpec::gaussian(D, EmbeddingDim::Ratio(2), SEED)
-        .resolve(N)
-        .build_gaussian(&device)
-        .expect("fits");
-    let multi = Pipeline::count_gauss(D, EmbeddingDim::Square(2), EmbeddingDim::Ratio(2), SEED)
-        .build_multisketch(&device, N)
-        .expect("fits");
-
-    let run_c = distributed_countsketch(&device, &dist, &count).expect("countsketch");
-    let run_g = distributed_gaussian(&device, &dist, &gauss).expect("gaussian");
-    let run_m = distributed_multisketch(&device, &dist, &multi).expect("multisketch");
-
-    let single_c = count.apply_matrix(&device, &a).expect("single countsketch");
-    let single_g = gauss.apply_matrix(&device, &a).expect("single gaussian");
-    let single_m = multi.apply_matrix(&device, &a).expect("single multisketch");
-
-    assert_eq!(run_c.result.max_abs_diff(&single_c).expect("shape"), 0.0);
-    // GEMM-based paths reassociate row sums across ranks: equal up to rounding.
-    assert!(run_g.result.max_abs_diff(&single_g).expect("shape") < 1e-10);
-    assert!(run_m.result.max_abs_diff(&single_m).expect("shape") < 1e-9);
-
-    // Section 7's headline: the multisketch reduces the same 2n x n matrix as
-    // the Gaussian, far less than the CountSketch's 2n² x n.
-    assert_eq!(run_m.comm.total_words(), run_g.comm.total_words());
-    assert!(run_c.comm.total_words() > run_m.comm.total_words());
 }

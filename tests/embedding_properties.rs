@@ -54,21 +54,18 @@ proptest! {
         prop_assert!(eps < 0.8, "CountSketch distortion {eps}");
     }
 
-    /// Sketching commutes with the block-row distribution for any process count.
+    /// Sketching commutes with sharding across any device count, to the last bit.
     #[test]
     fn prop_distribution_is_exact(p in 1usize..8, seed in 0u64..100) {
         let device = Device::unlimited();
         let d = 512usize;
         let n = 4usize;
         let a = Matrix::random_gaussian(d, n, Layout::RowMajor, seed, 0);
-        let cs = SketchSpec::countsketch(d, EmbeddingDim::Square(2), seed)
-            .resolve(n)
-            .build_countsketch(&device)
-            .unwrap();
-        let single = cs.apply_matrix(&device, &a).unwrap();
-        let dist = BlockRowMatrix::split(&a, p);
-        let reduced = distributed_countsketch(&device, &dist, &cs).unwrap();
-        prop_assert!(reduced.result.max_abs_diff(&single).unwrap() < 1e-9);
+        let plan = Pipeline::single(SketchSpec::countsketch(d, EmbeddingDim::Square(2), seed));
+        let single = plan.build_for(&device, n).unwrap().apply_matrix(&device, &a).unwrap();
+        let pool = DevicePool::unlimited(p);
+        let run = pipelined_sketch(&pool, &a, &plan, &ExecutorOptions::default()).unwrap();
+        prop_assert_eq!(run.result.max_abs_diff(&single).unwrap(), 0.0);
     }
 
     /// The sketch-and-solve residual is sandwiched between the optimum and the

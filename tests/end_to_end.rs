@@ -101,23 +101,25 @@ fn full_pipeline_is_reproducible() {
     }
 }
 
-/// The distributed drivers reproduce the single-device sketch results exactly and the
-/// reduced results feed the same downstream QR.
+/// The pipelined executor reproduces the single-device multisketch exactly on four
+/// devices, so the reduced result feeds the same downstream QR.
 #[test]
-fn distributed_multisketch_feeds_the_same_least_squares_solution() {
+fn pipelined_multisketch_feeds_the_same_least_squares_solution() {
     let device = Device::unlimited();
     let d = 1 << 12;
     let n = 8;
     let a = Matrix::random_gaussian(d, n, Layout::RowMajor, 7, 0);
-    let multi = Pipeline::count_gauss(d, EmbeddingDim::Square(2), EmbeddingDim::Ratio(2), 8)
-        .build_multisketch(&device, n)
-        .unwrap();
+    let plan = Pipeline::count_gauss(d, EmbeddingDim::Square(2), EmbeddingDim::Ratio(2), 8);
 
-    let single = multi.apply_matrix(&device, &a).unwrap();
-    let dist = BlockRowMatrix::split(&a, 4);
-    let reduced = distributed_multisketch(&device, &dist, &multi).unwrap();
-    assert!(reduced.result.max_abs_diff(&single).unwrap() < 1e-9);
-    assert!(vec_norm2(reduced.result.as_slice()) > 0.0);
+    let single = plan
+        .build_multisketch(&device, n)
+        .unwrap()
+        .apply_matrix(&device, &a)
+        .unwrap();
+    let pool = DevicePool::unlimited(4);
+    let run = pipelined_sketch(&pool, &a, &plan, &ExecutorOptions::default()).unwrap();
+    assert_eq!(run.result.max_abs_diff(&single).unwrap(), 0.0);
+    assert!(vec_norm2(run.result.as_slice()) > 0.0);
 }
 
 /// The modelled device refuses operations that the real 80 GB card would refuse.

@@ -37,9 +37,10 @@ fn single_device_reference(plan: &Pipeline, a: &Matrix) -> Matrix {
         .expect("plan applies")
 }
 
-/// The ISSUE's device grid: 1 (degenerate), 2/4 (powers of two), 7 (prime, so
-/// every split of the 1000-row operand and the 9-column panels is uneven).
-const DEVICE_COUNTS: [usize; 4] = [1, 2, 4, 7];
+/// The device grid: 1 (degenerate), 2/4 (powers of two), 7 (prime, so every
+/// split of the 1000-row operand and the 9-column panels is uneven), and 16
+/// (more devices than the operand has columns).
+const DEVICE_COUNTS: [usize; 5] = [1, 2, 4, 7, 16];
 
 fn check_across_devices(label: &str, plan: &Pipeline, a: &Matrix) {
     let reference = single_device_reference(plan, a);
