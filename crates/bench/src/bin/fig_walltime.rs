@@ -410,11 +410,6 @@ fn main() {
             ]),
         ),
         ("smoke".into(), JsonValue::Bool(smoke)),
-        ("host_cores".into(), JsonValue::UInt(cores as u64)),
-        (
-            "thread_grid".into(),
-            JsonValue::Array(grid.iter().map(|&t| JsonValue::UInt(t as u64)).collect()),
-        ),
         ("bitwise_gate".into(), JsonValue::Str(bitwise_status.into())),
         (
             "speedup_gate".into(),

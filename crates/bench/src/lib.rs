@@ -1,7 +1,7 @@
 //! # sketch-bench
 //!
-//! The benchmark harness: one binary per table/figure of the paper's evaluation plus
-//! Criterion micro-benchmarks for the individual kernels.
+//! The benchmark harness: the `paper` binary regenerates every table and figure of
+//! the paper's evaluation, and one binary per extension figure measures the rest.
 //!
 //! Every figure is regenerated at two scales:
 //!
@@ -14,23 +14,17 @@
 //!   real kernels record, so the projection cannot silently drift from the
 //!   implementation.
 //!
-//! Binaries (run with `cargo run -p sketch-bench --release --bin <name>`):
+//! Binaries (run with `cargo run -p sketch-bench --release --bin <name> [-- --smoke]`):
 //!
 //! | binary | regenerates |
 //! |---|---|
-//! | `table1` | Table 1 (complexity summary + measured counter check) |
-//! | `fig2_sketch_times` | Figure 2 (sketch gen/apply time vs Gram matrix) |
-//! | `fig3_mem_throughput` | Figure 3 (percent of peak memory throughput) |
-//! | `fig4_flops` | Figure 4 (percent of peak FLOP/s) |
-//! | `fig5_lsq_breakdown` | Figure 5 (least squares runtime breakdown) |
-//! | `fig6_residual_easy` | Figure 6 (relative residuals, easy problem) |
-//! | `fig7_residual_hard` | Figure 7 (relative residuals, hard problem) |
-//! | `fig8_stability` | Figure 8 (residual vs condition number) |
-//! | `dist_comm` | Section 7 communication-volume comparison (cost model; fails if the multisketch stops communicating like the Gaussian) |
-//! | `ablations` | design-choice ablations (atomic vs gather, layouts, radix, SyRK) |
+//! | `paper <section>` | one of `table1` (Table 1), `fig2`…`fig8` (Figures 2–8), `dist_comm` (Section 7 communication volumes, cost model) or `ablations` (atomic vs gather, layouts, radix, SyRK); `all` runs every section.  Exits 1 if a headline claim (Figures 2, 5, 8, Section 7) breaks |
+//! | `fig_lowrank` | RSVD vs deterministic truncated QR on low-rank matrices |
 //! | `fig_scaling` | multi-device strong/weak scaling + overlap ablation (modelled) |
+//! | `fig_serve` | multi-tenant co-scheduling vs FIFO |
+//! | `fig_faults` | bit-exact recovery from device death |
+//! | `fig_kernels` | blocked vs naive GEMM, tiled vs untiled FWHT |
 //! | `fig_walltime` | measured wall-clock across thread counts + bitwise gate |
-//! | `all_experiments` | everything above in sequence |
 
 pub mod analytic;
 pub mod config;

@@ -69,10 +69,10 @@ pub fn lsq_breakdown_paper_rows() -> Vec<LsqBreakdownRow> {
     rows
 }
 
-/// Figure 5 measured at reduced sizes: the solvers actually run.
-pub fn lsq_breakdown_measured_rows(seed: u64) -> Vec<LsqBreakdownRow> {
+/// Figure 5 over `sweep` (reduced sizes): the solvers actually run.
+pub fn lsq_breakdown_measured_rows(sweep: &[SweepPoint], seed: u64) -> Vec<LsqBreakdownRow> {
     let mut rows = Vec::new();
-    for point in ExperimentScale::Measured.sweep() {
+    for &point in sweep {
         let device = Device::h100();
         let problem = LsqProblem::performance(&device, point.d, point.n, seed)
             .expect("measured sweep sizes are always valid");

@@ -155,17 +155,25 @@ fn measured_row(point: SweepPoint, method: SketchMethod, seed: u64) -> SketchTim
     }
 }
 
-/// Produce every row of Figure 2 (and the data behind Figures 3–4) at the given scale.
-pub fn sketch_timing_rows(scale: ExperimentScale, seed: u64) -> Vec<SketchTimingRow> {
+/// Every row of Figure 2 (and the data behind Figures 3–4) at the paper's sizes,
+/// through the analytic cost model.
+pub fn paper_sketch_rows() -> Vec<SketchTimingRow> {
     let device = Device::h100();
     let mut rows = Vec::new();
-    for point in scale.sweep() {
+    for point in ExperimentScale::PaperModel.sweep() {
         for method in SketchMethod::ALL {
-            let row = match scale {
-                ExperimentScale::Measured => measured_row(point, method, seed),
-                ExperimentScale::PaperModel => analytic_row(&device, point, method),
-            };
-            rows.push(row);
+            rows.push(analytic_row(&device, point, method));
+        }
+    }
+    rows
+}
+
+/// Every row of Figure 2 over `sweep`, with the kernels actually executing.
+pub fn measured_sketch_rows(sweep: &[SweepPoint], seed: u64) -> Vec<SketchTimingRow> {
+    let mut rows = Vec::new();
+    for &point in sweep {
+        for method in SketchMethod::ALL {
+            rows.push(measured_row(point, method, seed));
         }
     }
     rows
@@ -177,7 +185,7 @@ mod tests {
 
     #[test]
     fn paper_model_rows_reproduce_the_figure2_ordering() {
-        let rows = sketch_timing_rows(ExperimentScale::PaperModel, 1);
+        let rows = paper_sketch_rows();
         // At d = 2^21, n = 256 the paper's ordering is:
         //   Count (Alg 2) < Multi < Gram < Count (SPMM), and Gauss is slowest / OOM.
         let at = |m: SketchMethod| {
@@ -201,7 +209,7 @@ mod tests {
 
     #[test]
     fn paper_model_reproduces_the_gaussian_oom_points() {
-        let rows = sketch_timing_rows(ExperimentScale::PaperModel, 1);
+        let rows = paper_sketch_rows();
         let oom_expected = [(1usize << 22, 256usize), (1 << 23, 128)];
         for (d, n) in oom_expected {
             let row = rows
@@ -222,7 +230,7 @@ mod tests {
 
     #[test]
     fn percent_of_peak_bands_match_figure3() {
-        let rows = sketch_timing_rows(ExperimentScale::PaperModel, 1);
+        let rows = paper_sketch_rows();
         for r in &rows {
             if r.out_of_memory {
                 continue;

@@ -7,9 +7,9 @@
 //! | CountSketch | ε⁻²n² | dn | dn | 1 + ε |
 //! | MultiSketch(ε₁, ε₂) | ε₂⁻²n | dn + n⁴ | dn + n⁴ | (1 + ε₁)(1 + ε₂) |
 //!
-//! The `table1` benchmark binary prints these formulas evaluated at the paper's problem
-//! sizes alongside the counters measured from the actual kernels, so a reader can check
-//! that the implementation's measured traffic matches the asymptotic claims.
+//! `paper table1` (in `sketch-bench`) prints these formulas evaluated at the paper's
+//! problem sizes alongside the counters measured from the actual kernels, so a reader can
+//! check that the implementation's measured traffic matches the asymptotic claims.
 
 /// The sketching methods compared throughout the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

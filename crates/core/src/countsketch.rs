@@ -187,7 +187,7 @@ impl CountSketch {
     /// and sum the input rows assigned to it.
     ///
     /// This trades the atomic RMW traffic for an extra index pass and a less balanced
-    /// work distribution; the `ablations` bench compares it against Algorithm 2.
+    /// work distribution; `paper ablations` compares it against Algorithm 2.
     pub fn apply_matrix_gather(&self, device: &Device, a: &Matrix) -> Result<Matrix, Error> {
         self.check_input_dim(a.nrows())?;
         let n = a.ncols();

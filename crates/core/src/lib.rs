@@ -17,7 +17,7 @@
 //! * [`embedding`] — empirical subspace-embedding distortion checks (Definitions
 //!   1.1–1.2),
 //! * [`complexity`] — the symbolic Table 1 (embedding dimensions, arithmetic,
-//!   read/writes, distortion) used by the `table1` bench binary.
+//!   read/writes, distortion) printed by `paper table1` in `sketch-bench`.
 //!
 //! All operators implement [`SketchOperator`] so the least squares solvers in
 //! `sketch-lsq` and the distributed driver in `sketch-dist` are generic over the sketch.

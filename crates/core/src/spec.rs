@@ -3,7 +3,7 @@
 //! The paper's evaluation drives every sketch through one loop — generate once, apply
 //! to `A` and `b`, charge the phases — with the *configuration* (which sketch, which
 //! embedding dimension rule, which seed) varying per figure.  `SketchSpec` is that
-//! configuration as data: a serde-able description that any harness, example or JSON
+//! configuration as data: a plain-value description that any harness, example or JSON
 //! file can carry around, and that [`SketchSpec::build`] turns into a live
 //! [`SketchOperator`] on a device.
 //!
@@ -19,9 +19,9 @@
 //! shape and instantiates the fused [`MultiSketch`] operator (transpose trick and
 //! all); any other chain builds a generic composed operator.
 //!
-//! Specs serialize to JSON through the built-in [`json`] module (the offline serde
-//! shim carries no data format), and rebuilding from the serialized form is
-//! bit-identical because all randomness flows through the stored Philox seeds.
+//! Specs serialize to JSON through the built-in [`json`] module, and rebuilding from
+//! the serialized form is bit-identical because all randomness flows through the
+//! stored Philox seeds.
 //!
 //! ```
 //! use sketch_core::{EmbeddingDim, SketchSpec};
@@ -42,7 +42,6 @@ use crate::multisketch::{MultiSketch, GAUSS_STAGE_SEED_SALT};
 use crate::operand::Operand;
 use crate::srht::Srht;
 use crate::traits::SketchOperator;
-use serde::{Deserialize, Serialize};
 use sketch_gpu_sim::{Device, KernelCost};
 use sketch_la::{Layout, MatrixViewMut};
 
@@ -52,7 +51,7 @@ use json::JsonValue;
 
 /// Which sketch family a [`SketchSpec`] describes.
 #[non_exhaustive]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SketchKind {
     /// The explicit Algorithm-2 CountSketch ([`CountSketch`]).
     CountSketch,
@@ -116,7 +115,7 @@ impl SketchKind {
 ///   shards are embarrassingly exact and reassemble with an allgather; a block-row
 ///   split of these kinds would change the floating-point summation grouping (the
 ///   GEMM dot is unrolled four-wide) and only be equal up to rounding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ShardAxis {
     /// Shard the operand into block rows; reduce with an ordered ring fold.
     Rows,
@@ -128,7 +127,7 @@ pub enum ShardAxis {
 ///
 /// The paper's embedding-dimension conventions (Section 6) are rules in terms of the
 /// operand width `n`, so specs carry the rule and resolve it per problem.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EmbeddingDim {
     /// A fixed output dimension `k`.
     Exact(usize),
@@ -155,13 +154,13 @@ impl EmbeddingDim {
     }
 }
 
-/// A declarative, serde-able description of one sketch operator.
+/// A declarative, JSON-serializable description of one sketch operator.
 ///
 /// Construct with the per-kind constructors, tweak with the builder methods, then
 /// [`build`](Self::build) (or [`build_for`](Self::build_for) when the output
 /// dimension is a rule) to obtain the live operator.
 #[must_use = "a SketchSpec describes a sketch; call build/build_for to construct it"]
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SketchSpec {
     /// Sketch family.
     pub kind: SketchKind,
@@ -443,7 +442,7 @@ impl EmbeddingDim {
 /// (Section 6.1 transpose trick included); any other chain builds a generic
 /// composed operator that applies the stages sequentially.
 #[must_use = "a Pipeline describes a sketch chain; call build/build_for to construct it"]
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Pipeline {
     /// The stages, outermost input first.  Stages after the first may leave
     /// `input_dim = 0` to inherit the previous stage's (resolved) output dimension.

@@ -21,7 +21,7 @@
 //! rows and sums the `2n x n` partials.  That reassociates the arithmetic, so
 //! the executor does not run it: to stay bitwise it allreduces the `2n² x n`
 //! CountSketch intermediate instead.  Section 7 is therefore reproduced as a
-//! cost model (`sketch-bench`'s `dist_comm` table, from [`CommCost`] and the
+//! cost model (the `paper dist_comm` table in `sketch-bench`, from [`CommCost`] and the
 //! per-rank kernel costs), not as an execution mode.
 //!
 //! ## Example: pipelined execution on four simulated H100s

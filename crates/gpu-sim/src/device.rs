@@ -4,18 +4,16 @@ use crate::counters::{CostTracker, KernelCost};
 use crate::fault::{DeviceFailed, FaultSpec};
 use crate::memory::{MemoryError, MemoryTracker, Reservation};
 use crate::roofline::RooflineModel;
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
-use sketch_obs::{CostBreakdown, Recorder, TraceEvent, Track};
+use sketch_obs::{lock, CostBreakdown, Recorder, TraceEvent, Track};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Published peak characteristics of the accelerator being modelled.
 ///
 /// The defaults follow NVIDIA's public datasheets; the efficiency factor captures the
 /// fact that real streaming kernels do not achieve the full theoretical bandwidth (the
 /// paper's own best kernels plateau at 50–70 % of peak, Figure 3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceSpec {
     /// Human readable name used in reports.
     pub name: &'static str,
@@ -196,7 +194,7 @@ impl Device {
     /// [`sketch_obs::NoopRecorder`]) keeps the hot path event-free.
     pub fn set_recorder(&self, recorder: Option<Arc<dyn Recorder>>) {
         let enabled = recorder.as_ref().is_some_and(|r| r.enabled());
-        *self.recorder.lock() = recorder;
+        *lock(&self.recorder) = recorder;
         self.recording.store(enabled, Ordering::Release);
     }
 
@@ -205,7 +203,7 @@ impl Device {
         if !self.recording() {
             return None;
         }
-        self.recorder.lock().clone()
+        lock(&self.recorder).clone()
     }
 
     /// Whether an enabled recorder is attached (one relaxed atomic load).
@@ -218,7 +216,7 @@ impl Device {
     /// seconds: the sum of the modelled times of every [`Device::launch`] so
     /// far.  Deterministic — it advances only by roofline times.
     pub fn kernel_clock(&self) -> f64 {
-        *self.kernel_clock.lock()
+        *lock(&self.kernel_clock)
     }
 
     /// Record a kernel cost.
@@ -244,12 +242,12 @@ impl Device {
 
     #[cold]
     fn emit_kernel_span(&self, label: &str, cost: KernelCost) {
-        let Some(recorder) = self.recorder.lock().clone() else {
+        let Some(recorder) = lock(&self.recorder).clone() else {
             return;
         };
         let duration = self.model_time(&cost);
         let (start, end) = {
-            let mut clock = self.kernel_clock.lock();
+            let mut clock = lock(&self.kernel_clock);
             let start = *clock;
             *clock = start + duration;
             (start, *clock)
@@ -268,31 +266,31 @@ impl Device {
     /// replacing a fault also resets the sticky [`Device::is_failed`] flag —
     /// re-applying a [`crate::FaultPlan`] starts a fresh run's fault clocks.
     pub fn set_fault(&self, fault: Option<FaultSpec>) {
-        *self.fault.lock() = fault;
+        *lock(&self.fault) = fault;
         self.failed.store(false, Ordering::Release);
     }
 
     /// The injected fault, if any.
     pub fn fault(&self) -> Option<FaultSpec> {
-        *self.fault.lock()
+        *lock(&self.fault)
     }
 
     /// Multiplier on this device's modelled kernel times (1.0 when healthy —
     /// see [`FaultSpec::time_scale`]).
     pub fn time_scale(&self) -> f64 {
-        self.fault.lock().map_or(1.0, |f| f.time_scale())
+        lock(&self.fault).map_or(1.0, |f| f.time_scale())
     }
 
     /// Multiplier on this device's modelled interconnect hops (1.0 when
     /// healthy — see [`FaultSpec::link_scale`]).
     pub fn link_scale(&self) -> f64 {
-        self.fault.lock().map_or(1.0, |f| f.link_scale())
+        lock(&self.fault).map_or(1.0, |f| f.link_scale())
     }
 
     /// The simulated instant this device dies, if a [`FaultSpec::Dies`] fault
     /// is injected.
     pub fn death_time(&self) -> Option<f64> {
-        self.fault.lock().and_then(|f| f.death_time())
+        lock(&self.fault).and_then(|f| f.death_time())
     }
 
     /// Modelled execution time of `cost` on this device *including* any

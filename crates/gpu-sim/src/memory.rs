@@ -8,8 +8,9 @@
 //! enforces the modelled capacity and returns [`MemoryError`] exactly where the paper
 //! reports an OOM.
 
-use parking_lot::Mutex;
+use sketch_obs::lock;
 use std::fmt;
+use std::sync::Mutex;
 
 /// Error returned when a reservation would exceed the modelled device memory.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,24 +72,24 @@ impl MemoryTracker {
 
     /// Bytes currently reserved.
     pub fn in_use(&self) -> u64 {
-        self.state.lock().in_use
+        lock(&self.state).in_use
     }
 
     /// High-water mark of reserved bytes.
     pub fn peak(&self) -> u64 {
-        self.state.lock().peak
+        lock(&self.state).peak
     }
 
     /// Number of successful reservations made so far (the modelled `cudaMalloc`
     /// count).  Buffer-reusing kernels such as `SketchOperator::apply_into` are
     /// certified allocation-free by checking this counter does not move.
     pub fn allocations(&self) -> u64 {
-        self.state.lock().allocations
+        lock(&self.state).allocations
     }
 
     /// Try to reserve `bytes`; the reservation is released when the returned guard drops.
     pub fn try_reserve(&self, bytes: u64) -> Result<Reservation<'_>, MemoryError> {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         let new_in_use = state.in_use.saturating_add(bytes);
         if new_in_use > self.capacity {
             return Err(MemoryError {
@@ -108,7 +109,7 @@ impl MemoryTracker {
 
     /// Check whether `bytes` additional bytes would fit right now, without reserving.
     pub fn would_fit(&self, bytes: u64) -> bool {
-        let state = self.state.lock();
+        let state = lock(&self.state);
         state
             .in_use
             .checked_add(bytes)
@@ -117,7 +118,7 @@ impl MemoryTracker {
     }
 
     fn release(&self, bytes: u64) {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         state.in_use = state.in_use.saturating_sub(bytes);
     }
 }

@@ -19,7 +19,6 @@
 
 use crate::counters::KernelCost;
 use crate::device::{Device, DeviceSpec};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Published characteristics of the device-to-device interconnect.
@@ -27,7 +26,7 @@ use std::sync::Arc;
 /// The executor models ring collectives, so the numbers describe one link of the
 /// ring; the defaults follow NVIDIA's NVLink 4 datasheet figures de-rated the same
 /// way [`DeviceSpec`] de-rates HBM bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InterconnectSpec {
     /// Human readable name used in reports.
     pub name: &'static str,

@@ -19,12 +19,11 @@
 
 use crate::counters::KernelCost;
 use crate::device::Device;
-use serde::Serialize;
 use sketch_obs::{Stopwatch, TraceEvent, Track};
 use std::cell::RefCell;
 
 /// The phases used across the paper's breakdown figures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Gram matrix `AᵀA` (normal equations / comparisons in Figure 2).
     GramMatrix,
@@ -70,12 +69,11 @@ impl Phase {
 }
 
 /// One recorded phase.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseRecord {
     /// Which phase this record belongs to.
     pub phase: Phase,
     /// Cost accumulated on the device during the phase.
-    #[serde(skip)]
     pub cost: KernelCost,
     /// Modelled device time in seconds.
     pub model_seconds: f64,
@@ -84,7 +82,7 @@ pub struct PhaseRecord {
 }
 
 /// A completed run: an ordered list of phase records.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RunBreakdown {
     /// Phases in execution order.
     pub phases: Vec<PhaseRecord>,

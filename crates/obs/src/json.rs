@@ -1,8 +1,8 @@
 //! A minimal JSON reader/writer shared by the whole workspace.
 //!
-//! The offline container's serde shim carries no data format, so the workspace
-//! ships its own small JSON implementation: enough of RFC 8259 to serialize and
-//! parse sketch-spec documents, benchmark result files, and Chrome trace-event
+//! The workspace has no third-party serialization crate, so it ships its own
+//! small JSON implementation: enough of RFC 8259 to serialize and parse
+//! sketch-spec documents, benchmark result files, and Chrome trace-event
 //! exports (objects, arrays, strings with escapes, booleans, null, and numbers).
 //! Unsigned integers are kept exact — Philox seeds are full-range `u64`s, which a
 //! lossy `f64` number representation would corrupt.

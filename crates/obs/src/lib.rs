@@ -44,6 +44,6 @@ pub use export::{chrome_trace, chrome_trace_with_metrics, write_json, HOST_PID};
 pub use json::{JsonError, JsonValue};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use record::{
-    CostBreakdown, NoopRecorder, Recorder, RecorderHandle, TraceCollector, TraceEvent, Track,
+    lock, CostBreakdown, NoopRecorder, Recorder, RecorderHandle, TraceCollector, TraceEvent, Track,
 };
 pub use wall::{rustc_version, Stopwatch};

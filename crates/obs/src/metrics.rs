@@ -6,8 +6,9 @@
 //! [`MetricsRegistry::to_json`] for the flat summary document.
 
 use crate::json::JsonValue;
-use parking_lot::Mutex;
+use crate::record::lock;
 use std::collections::BTreeMap;
+use std::sync::Mutex;
 
 /// A fixed-bucket histogram: `counts[i]` counts observations `<= bounds[i]`,
 /// with one overflow bucket at the end.
@@ -108,7 +109,7 @@ impl MetricsRegistry {
     ///
     /// Panics if `name` is already registered as a histogram.
     pub fn add(&self, name: &str, delta: u64) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         match inner.entry(name.to_string()).or_insert(Metric::Counter(0)) {
             Metric::Counter(v) => *v += delta,
             Metric::Histogram(_) => panic!("metric {name:?} is a histogram, not a counter"),
@@ -120,7 +121,7 @@ impl MetricsRegistry {
     ///
     /// Panics if `name` is already registered as a counter.
     pub fn observe(&self, name: &str, value: f64, bounds: &[f64]) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         match inner
             .entry(name.to_string())
             .or_insert_with(|| Metric::Histogram(Histogram::new(bounds)))
@@ -132,7 +133,7 @@ impl MetricsRegistry {
 
     /// Current value of the counter `name` (0 if absent or not a counter).
     pub fn counter(&self, name: &str) -> u64 {
-        match self.inner.lock().get(name) {
+        match lock(&self.inner).get(name) {
             Some(Metric::Counter(v)) => *v,
             _ => 0,
         }
@@ -140,7 +141,7 @@ impl MetricsRegistry {
 
     /// Clone of the histogram `name`, if registered.
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        match self.inner.lock().get(name) {
+        match lock(&self.inner).get(name) {
             Some(Metric::Histogram(h)) => Some(h.clone()),
             _ => None,
         }
@@ -149,7 +150,7 @@ impl MetricsRegistry {
     /// Flat JSON summary: `{"counters": {...}, "histograms": {...}}` with keys
     /// in lexicographic order.
     pub fn to_json(&self) -> JsonValue {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         let mut counters = Vec::new();
         let mut histograms = Vec::new();
         for (name, metric) in inner.iter() {

@@ -10,9 +10,8 @@
 //! * [`TraceCollector`] — a thread-safe in-memory buffer whose contents feed
 //!   the exporters in [`crate::export`].
 
-use parking_lot::Mutex;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Which track of the trace an event belongs to.
 ///
@@ -121,6 +120,14 @@ impl Recorder for NoopRecorder {
     fn record(&self, _event: TraceEvent) {}
 }
 
+/// Locks `mutex`, recovering the guard if a thread panicked while holding it.
+///
+/// Every mutex in the workspace guards plain data that no critical section can
+/// leave half-updated, so a poisoned lock is safe to keep using.
+pub fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A thread-safe in-memory event buffer.
 ///
 /// Events are appended under a mutex in emission order; the simulated-clock
@@ -145,22 +152,22 @@ impl TraceCollector {
 
     /// Number of events recorded so far.
     pub fn len(&self) -> usize {
-        self.events.lock().len()
+        lock(&self.events).len()
     }
 
     /// Whether no events have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty()
+        lock(&self.events).is_empty()
     }
 
     /// Clone out the events recorded so far, in emission order.
     pub fn snapshot(&self) -> Vec<TraceEvent> {
-        self.events.lock().clone()
+        lock(&self.events).clone()
     }
 
     /// Drain the buffer, returning all events recorded so far.
     pub fn take(&self) -> Vec<TraceEvent> {
-        std::mem::take(&mut *self.events.lock())
+        std::mem::take(&mut *lock(&self.events))
     }
 }
 
@@ -170,7 +177,7 @@ impl Recorder for TraceCollector {
     }
 
     fn record(&self, event: TraceEvent) {
-        self.events.lock().push(event);
+        lock(&self.events).push(event);
     }
 }
 

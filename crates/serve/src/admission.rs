@@ -12,7 +12,8 @@
 //! ([`JobSpec::sketch_output_bytes`], [`JobSpec::modelled_flops`]): admission
 //! is decided *before* any operand is materialised, and an operand recipe too
 //! large to materialise at all is refused first
-//! ([`RejectReason::OperandTooLarge`]).
+//! ([`RejectReason::OperandTooLarge`]), as is a sparse operand whose indices
+//! cannot be drawn ([`RejectReason::SparseShapeOutOfRange`]).
 
 use crate::error::{RejectReason, ServeError};
 use crate::job::JobSpec;
@@ -186,6 +187,12 @@ impl AdmissionController {
         };
         if job.operand.largest_allocation().is_none() {
             return Err(reject(RejectReason::OperandTooLarge {
+                rows: job.operand.rows(),
+                cols: job.operand.cols(),
+            }));
+        }
+        if !job.operand.indices_in_range() {
+            return Err(reject(RejectReason::SparseShapeOutOfRange {
                 rows: job.operand.rows(),
                 cols: job.operand.cols(),
             }));

@@ -29,6 +29,14 @@ pub enum RejectReason {
         /// Operand columns asked for.
         cols: usize,
     },
+    /// A sparse operand's row or column count is outside `1..=u32::MAX`, the
+    /// range its uniform index draws cover.
+    SparseShapeOutOfRange {
+        /// Operand rows asked for.
+        rows: usize,
+        /// Operand columns asked for.
+        cols: usize,
+    },
     /// The job's modelled sketch output exceeds the tenant's byte budget.
     SketchBytesExceeded {
         /// Modelled bytes the job would produce.
@@ -66,6 +74,7 @@ impl RejectReason {
             RejectReason::QueueFull { .. } => "queue_full",
             RejectReason::TooManyInFlight { .. } => "too_many_in_flight",
             RejectReason::OperandTooLarge { .. } => "operand_too_large",
+            RejectReason::SparseShapeOutOfRange { .. } => "sparse_shape_out_of_range",
             RejectReason::SketchBytesExceeded { .. } => "sketch_bytes_exceeded",
             RejectReason::FlopsExceeded { .. } => "flops_exceeded",
             RejectReason::RetriesExhausted { .. } => "retries_exhausted",
@@ -86,6 +95,11 @@ impl std::fmt::Display for RejectReason {
             RejectReason::OperandTooLarge { rows, cols } => {
                 write!(f, "a {rows} x {cols} operand is too large to materialise")
             }
+            RejectReason::SparseShapeOutOfRange { rows, cols } => write!(
+                f,
+                "a {rows} x {cols} sparse operand needs both dimensions in 1..={}",
+                u32::MAX
+            ),
             RejectReason::SketchBytesExceeded { modelled, limit } => write!(
                 f,
                 "modelled sketch output of {modelled} bytes exceeds the tenant limit of {limit}"

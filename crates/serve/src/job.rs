@@ -165,6 +165,19 @@ impl OperandSpec {
         (bytes <= isize::MAX as usize).then_some(bytes)
     }
 
+    /// Whether [`OperandSpec::materialize`] can draw this operand's indices: a
+    /// sparse operand samples its row and column indices uniformly below `rows`
+    /// and `cols`, which the sampler needs in `1..=u32::MAX`.
+    pub(crate) fn indices_in_range(&self) -> bool {
+        match *self {
+            OperandSpec::Dense { .. } => true,
+            OperandSpec::Csr { rows, cols, .. } => {
+                let range = 1..=u32::MAX as usize;
+                range.contains(&rows) && range.contains(&cols)
+            }
+        }
+    }
+
     /// Materialise the operand from its recipe (deterministic per spec).
     pub fn materialize(&self) -> OperandData {
         match *self {
@@ -511,6 +524,21 @@ mod tests {
         assert_eq!(dense(1 << 31, 1 << 31).largest_allocation(), None);
         assert_eq!(csr(usize::MAX, 1).largest_allocation(), None);
         assert_eq!(csr(10, usize::MAX / 8).largest_allocation(), None);
+    }
+
+    #[test]
+    fn sparse_indices_must_fit_the_sampler() {
+        let csr = |rows, cols| OperandSpec::Csr {
+            rows,
+            cols,
+            nnz_target: 8,
+            seed: 1,
+        };
+        let max = u32::MAX as usize;
+        assert!(csr(1, 1).indices_in_range() && csr(max, max).indices_in_range());
+        for (rows, cols) in [(16, 0), (0, 16), (max + 1, 16), (16, max + 1)] {
+            assert!(!csr(rows, cols).indices_in_range(), "{rows} x {cols}");
+        }
     }
 
     #[test]

@@ -175,69 +175,89 @@ fn a_failing_job_fails_alone_and_the_batch_runs_on() {
 
 #[test]
 fn an_operand_too_large_to_materialise_is_rejected_at_submit() {
-    // The middle job asks for a u64::MAX x 8 dense operand, whose byte size
-    // overflows.  Admission must refuse it with a typed reason before anything
-    // is allocated; its neighbours run with the bits they produce alone.
-    let job = |tenant: &str, rows: &str, seed: u64| {
+    // The middle job asks for an operand `materialize` cannot build: a
+    // u64::MAX x 8 dense one, whose byte size overflows, or a sparse one whose
+    // indices the uniform sampler cannot draw (zero columns, or more than
+    // u32::MAX rows or columns).  Admission must refuse it with a typed reason
+    // before anything is allocated; its neighbours run with the bits they
+    // produce alone.
+    let csr = |rows: usize, cols: usize| {
+        let operand = format!(
+            r#"{{"csr": {{"rows": {rows}, "cols": {cols}, "nnz_target": 64, "seed": 2}}}}"#
+        );
+        (operand, RejectReason::SparseShapeOutOfRange { rows, cols })
+    };
+    let too_large = (
+        r#"{"dense": {"rows": 18446744073709551615, "cols": 8, "seed": 2}}"#.to_string(),
+        RejectReason::OperandTooLarge {
+            rows: usize::MAX,
+            cols: 8,
+        },
+    );
+    let past_u32 = u32::MAX as usize + 1;
+    let cases = [
+        too_large,
+        csr(1024, 0),
+        csr(past_u32, 8),
+        csr(1024, past_u32),
+    ];
+    let job = |tenant: &str, operand: &str, seed: u64| {
         format!(
             r#"{{"tenant": "{tenant}",
                  "pipeline": {{"stages": [{{"kind": "count-sketch", "input_dim": 1024,
                                             "output_dim": {{"square": 2}}, "seed": {seed}}}]}},
-                 "operand": {{"dense": {{"rows": {rows}, "cols": 8, "seed": {seed}}}}}}}"#
+                 "operand": {operand}}}"#
         )
     };
-    let text = format!(
-        r#"{{"jobs": [{}, {}, {}]}}"#,
-        job("alice", "1024", 1),
-        job("mallory", "18446744073709551615", 2),
-        job("bob", "1024", 3),
-    );
-    let file = JobFile::from_json(&text).expect("the job file parses");
-    let pool = DevicePool::unlimited(2);
-    let mut engine = ServeEngine::new(&pool, file.admission(), file.queue_capacity);
-    let outcomes: Vec<_> = file
-        .jobs
-        .iter()
-        .map(|spec| engine.submit(spec.clone()))
-        .collect();
-    assert!(outcomes[0].is_ok() && outcomes[2].is_ok());
-    match &outcomes[1] {
-        Err(ServeError::Rejected { tenant, reason }) => {
-            assert_eq!(tenant, "mallory");
-            assert_eq!(
-                *reason,
-                RejectReason::OperandTooLarge {
-                    rows: usize::MAX,
-                    cols: 8
-                }
-            );
-        }
-        other => panic!("expected a typed rejection, got {other:?}"),
-    }
-    let report = engine
-        .run()
-        .expect("the rejected job never reaches the batch");
-
-    let run = &report.service;
-    assert_eq!(run.jobs.len(), 2);
-    assert!(run.abandoned.is_empty());
-    for scheduled in &run.jobs {
-        let spec = file
+    let dense = |seed: u64| format!(r#"{{"dense": {{"rows": 1024, "cols": 8, "seed": {seed}}}}}"#);
+    for (operand, expected) in cases {
+        let text = format!(
+            r#"{{"jobs": [{}, {}, {}]}}"#,
+            job("alice", &dense(1), 1),
+            job("mallory", &operand, 2),
+            job("bob", &dense(3), 3),
+        );
+        let file = JobFile::from_json(&text).expect("the job file parses");
+        let pool = DevicePool::unlimited(2);
+        let mut engine = ServeEngine::new(&pool, file.admission(), file.queue_capacity);
+        let outcomes: Vec<_> = file
             .jobs
             .iter()
-            .find(|j| j.tenant == scheduled.tenant)
-            .expect("a submitted job");
-        assert_eq!(
-            scheduled.run.result.max_abs_diff(&solo_result(spec)),
-            Ok(0.0),
-            "{} drifted beside the rejected job",
-            scheduled.tenant
-        );
+            .map(|spec| engine.submit(spec.clone()))
+            .collect();
+        assert!(outcomes[0].is_ok() && outcomes[2].is_ok());
+        match &outcomes[1] {
+            Err(ServeError::Rejected { tenant, reason }) => {
+                assert_eq!(tenant, "mallory");
+                assert_eq!(*reason, expected);
+            }
+            other => panic!("expected a typed rejection for {operand}, got {other:?}"),
+        }
+        let report = engine
+            .run()
+            .expect("the rejected job never reaches the batch");
+
+        let run = &report.service;
+        assert_eq!(run.jobs.len(), 2);
+        assert!(run.abandoned.is_empty());
+        for scheduled in &run.jobs {
+            let spec = file
+                .jobs
+                .iter()
+                .find(|j| j.tenant == scheduled.tenant)
+                .expect("a submitted job");
+            assert_eq!(
+                scheduled.run.result.max_abs_diff(&solo_result(spec)),
+                Ok(0.0),
+                "{} drifted beside the rejected job",
+                scheduled.tenant
+            );
+        }
+        assert_eq!(report.jobs_rejected(), 1);
+        let ledger = &report.tenants["mallory"];
+        assert_eq!((ledger.jobs_run, ledger.jobs_rejected), (0, 1));
+        assert_eq!(ledger.rejected_by_reason[expected.as_str()], 1);
     }
-    assert_eq!(report.jobs_rejected(), 1);
-    let ledger = &report.tenants["mallory"];
-    assert_eq!((ledger.jobs_run, ledger.jobs_rejected), (0, 1));
-    assert_eq!(ledger.rejected_by_reason["operand_too_large"], 1);
 }
 
 #[test]
