@@ -23,7 +23,7 @@
 //! | `fig_scaling` | multi-device strong/weak scaling + overlap ablation (modelled) |
 //! | `fig_serve` | multi-tenant co-scheduling vs FIFO |
 //! | `fig_faults` | bit-exact recovery from device death |
-//! | `fig_kernels` | blocked vs naive GEMM, tiled vs untiled FWHT |
+//! | `fig_kernels` | blocked vs naive GEMM (with the SIMD tier), tiled vs untiled FWHT, one-pass vs per-element GEMV |
 //! | `fig_walltime` | measured wall-clock across thread counts + bitwise gate |
 
 pub mod analytic;

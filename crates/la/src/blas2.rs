@@ -1,7 +1,7 @@
 //! Level-2 BLAS: matrix-vector operations (GEMV, TRSV) with device cost accounting.
 
 use crate::error::{dim_err, LaError};
-use crate::matrix::{Matrix, Op};
+use crate::matrix::{Layout, Matrix, Op};
 use sketch_gpu_sim::{Device, KernelCost};
 
 /// Which triangle of a matrix a triangular routine reads.
@@ -15,7 +15,18 @@ pub enum Triangle {
 
 /// General matrix-vector product `y <- alpha * op(A) * x + beta * y`.
 ///
-/// Returns the new `y` vector.
+/// Returns the new `y` vector.  Every output starts as `beta * y[i]` (or `0` when
+/// `beta == 0` or `y` is absent), its dot product `acc_i = sum_j op(A)[i, j] * x[j]` is
+/// accumulated from `0` in ascending `j` through one accumulator, and then
+/// `y[i] += alpha * acc_i`.  The loops read `A` in storage order:
+///
+/// * when `j` is the slow storage index (`Trans` on row-major, `NoTrans` on
+///   column-major), `A` is streamed once, one contiguous line per `j`, feeding all
+///   `m` accumulators at a time;
+/// * otherwise each output is one contiguous dot product over its line of `A`.
+///
+/// Both orders give every output the same operation sequence, so the result does not
+/// depend on the layout of `A`.
 pub fn gemv(
     device: &Device,
     alpha: f64,
@@ -50,12 +61,29 @@ pub fn gemv(
             }
         }
     }
-    for i in 0..m {
-        let mut acc = 0.0;
-        for j in 0..k {
-            acc += op_a.get(a, i, j) * x[j];
+    let data = a.as_slice();
+    let j_is_slow = matches!(
+        (op_a, a.layout()),
+        (Op::Trans, Layout::RowMajor) | (Op::NoTrans, Layout::ColMajor)
+    );
+    if j_is_slow {
+        let mut acc = vec![0.0; m];
+        if m > 0 {
+            for (line, &xj) in data.chunks_exact(m).zip(x) {
+                for (s, &v) in acc.iter_mut().zip(line) {
+                    *s += v * xj;
+                }
+            }
         }
-        out[i] += alpha * acc;
+        for (o, s) in out.iter_mut().zip(&acc) {
+            *o += alpha * s;
+        }
+    } else {
+        for (i, o) in out.iter_mut().enumerate() {
+            let line = &data[i * k..(i + 1) * k];
+            let acc = line.iter().zip(x).fold(0.0, |s, (&v, &xj)| s + v * xj);
+            *o += alpha * acc;
+        }
     }
 
     let cost = KernelCost::new(
@@ -139,7 +167,6 @@ pub fn trsv(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::Layout;
 
     fn device() -> Device {
         Device::unlimited()
@@ -185,6 +212,110 @@ mod tests {
         let a = Matrix::zeros(4, 5);
         let _ = gemv(&d, 1.0, Op::NoTrans, &a, &[0.0; 5], 0.0, None).unwrap();
         assert_eq!(d.tracker().snapshot().flops, 40);
+    }
+
+    /// The per-element loop `gemv` used to run: `op(A)` read through `Op::get`.
+    fn gemv_elementwise(
+        alpha: f64,
+        op_a: Op,
+        a: &Matrix,
+        x: &[f64],
+        beta: f64,
+        y: Option<&[f64]>,
+    ) -> Vec<f64> {
+        let (m, k) = (op_a.rows(a), op_a.cols(a));
+        let mut out = vec![0.0; m];
+        if beta != 0.0 {
+            if let Some(y0) = y {
+                for (o, &v) in out.iter_mut().zip(y0) {
+                    *o = beta * v;
+                }
+            }
+        }
+        for i in 0..m {
+            let mut acc = 0.0;
+            for j in 0..k {
+                acc += op_a.get(a, i, j) * x[j];
+            }
+            out[i] += alpha * acc;
+        }
+        out
+    }
+
+    /// Values from a pool holding ±0, NaN and ±inf beside ordinary numbers.
+    fn special_values(len: usize, seed: u64) -> Vec<f64> {
+        const POOL: [f64; 9] = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1.5,
+            -2.25,
+            1e-310,
+            3.0e300,
+        ];
+        let gaussian = sketch_rng::fill::gaussian_vec(seed, 7, len);
+        gaussian
+            .iter()
+            .enumerate()
+            .map(|(i, &g)| match (i as u64 * 31 + seed) % 7 {
+                0 => POOL[(i + seed as usize) % POOL.len()],
+                _ => g,
+            })
+            .collect()
+    }
+
+    /// Bitwise equality, except that any two NaNs match: Rust leaves the sign and
+    /// payload of a NaN produced by arithmetic unspecified.
+    fn assert_same_bits(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{what}: element {i} is {g:e}, the element-wise loop gives {w:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn gemv_matches_the_elementwise_loop_bitwise() {
+        let d = device();
+        let scalars = [
+            (1.0, 0.0),
+            (-0.5, 2.0),
+            (0.0, 1.0),
+            (f64::INFINITY, -1.0),
+            (1.0, f64::NAN),
+        ];
+        let mut cases = 0;
+        for (rows, cols) in [(0, 3), (3, 0), (1, 1), (7, 5), (5, 13), (33, 4)] {
+            for layout in [Layout::RowMajor, Layout::ColMajor] {
+                let seed = (rows * 100 + cols) as u64;
+                let a = Matrix::from_vec(rows, cols, layout, special_values(rows * cols, seed));
+                for op in [Op::NoTrans, Op::Trans] {
+                    let (m, k) = (op.rows(&a), op.cols(&a));
+                    let x = special_values(k, seed + 1);
+                    let y0 = special_values(m, seed + 2);
+                    // `beta * -0.0` keeps the sign of a zero sum visible in the output.
+                    let negative_zeros = vec![-0.0; m];
+                    for &(alpha, beta) in &scalars {
+                        for y in [None, Some(y0.as_slice()), Some(&negative_zeros)] {
+                            let got = gemv(&d, alpha, op, &a, &x, beta, y).unwrap();
+                            let want = gemv_elementwise(alpha, op, &a, &x, beta, y);
+                            let what = format!(
+                                "{op:?} {layout:?} {rows}x{cols} alpha={alpha} beta={beta} \
+                                 y={}",
+                                y.is_some()
+                            );
+                            assert_same_bits(&got, &want, &what);
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 6 * 2 * 2 * 5 * 3);
     }
 
     #[test]

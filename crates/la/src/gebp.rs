@@ -33,6 +33,21 @@
 //! This is what keeps every bitwise determinism gate in the workspace (1-vs-N threads,
 //! 1/2/4/7-device sharding, fault recovery, tenant isolation) green on top of a tuned
 //! kernel: tuning moves data, never arithmetic.
+//!
+//! # SIMD tier
+//!
+//! The row-panel sweep ([`blocked_sums`]' inner loop over one `MR`-row panel) is
+//! compiled twice: once for the portable baseline and once under
+//! `#[target_feature(enable = "avx2")]`.  [`simd_tier`] picks one per call from
+//! `is_x86_feature_detected!("avx2")`; nothing else (no env var, no cargo feature)
+//! selects it.  Both copies inline the same [`microkernel`], and the AVX2 copy only
+//! lets the compiler hold the `MR x NR` accumulator tile in 256-bit registers and
+//! update four accumulators per instruction.  Each lane is still one element's own
+//! accumulator, and rustc never contracts `a * b + c` into a fused multiply-add (FMA is
+//! a separate target feature, not enabled here), so every accumulator sees the same
+//! ascending-`k` chain of IEEE multiplies and adds on both tiers: the AVX2 tier is
+//! bit-identical to the scalar one, and results stay reproducible across hosts with
+//! and without AVX2.
 
 use crate::matrix::{Layout, Matrix, Op};
 use rayon::prelude::*;
@@ -42,6 +57,35 @@ pub const MR: usize = 8;
 
 /// Microkernel tile width (columns of C per register tile).
 pub const NR: usize = 4;
+
+/// The instruction set the GEBP row-panel sweep runs on (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SimdTier {
+    /// Portable baseline code generation.
+    Scalar,
+    /// The sweep compiled with AVX2 enabled (x86-64 hosts that report AVX2).
+    Avx2,
+}
+
+impl SimdTier {
+    /// Stable lower-case name, used in benchmark reports.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            SimdTier::Scalar => "scalar",
+            SimdTier::Avx2 => "avx2",
+        }
+    }
+}
+
+/// The tier [`blocked_sums`] dispatches to on this host: AVX2 when the CPU reports it,
+/// the scalar build otherwise.
+pub fn simd_tier() -> SimdTier {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        return SimdTier::Avx2;
+    }
+    SimdTier::Scalar
+}
 
 /// Cache block sizes for the packed panels.
 ///
@@ -189,12 +233,56 @@ pub fn microkernel<const SUB: bool>(kc: usize, ap: &[f64], bp: &[f64], tile: &mu
     }
 }
 
+/// One packed `(jc, pc)` block that every row panel of a sweep multiplies against.
+struct PackedBlock<'a> {
+    /// All packed A row panels of the block (`MR * kc` values each).
+    apack: &'a [f64],
+    /// The packed B column panels of the block (`NR * kc` values each).
+    bpack: &'a [f64],
+    /// Depth of the block.
+    kc: usize,
+    /// First (padded) output column of the block.
+    jc: usize,
+    /// Padded width of the block, a multiple of [`NR`].
+    ncb: usize,
+    /// Skip tiles strictly below the diagonal (SYRK).
+    upper_only: bool,
+}
+
+/// Update row panel `p` (its `MR * pn` slice `chunk` of the accumulation buffer) with
+/// one packed block: the body both SIMD tiers compile (the scalar tier inlines it
+/// into the sweep directly, the AVX2 tier through `sweep_row_panel_avx2`).
+#[inline(always)]
+fn sweep_row_panel(block: &PackedBlock<'_>, p: usize, chunk: &mut [f64]) {
+    let kc = block.kc;
+    let ap = &block.apack[p * MR * kc..(p + 1) * MR * kc];
+    for q in 0..block.ncb / NR {
+        let jcol = block.jc + q * NR;
+        // SYRK: skip tiles whose every element is strictly below the diagonal (the
+        // epilogue mirrors the upper triangle instead).
+        if block.upper_only && p * MR > jcol + NR - 1 {
+            continue;
+        }
+        let bp = &block.bpack[q * NR * kc..(q + 1) * NR * kc];
+        let tile = &mut chunk[jcol * MR..jcol * MR + MR * NR];
+        microkernel::<false>(kc, ap, bp, tile);
+    }
+}
+
+/// [`sweep_row_panel`] built with AVX2 enabled.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn sweep_row_panel_avx2(block: &PackedBlock<'_>, p: usize, chunk: &mut [f64]) {
+    sweep_row_panel(block, p, chunk);
+}
+
 /// Compute the raw products `op(A) · op(B)` into a panel-major accumulation buffer.
 ///
 /// Returns a `padded(m, MR) * padded(n, NR)` buffer indexed by [`acc_index`]; callers
 /// apply `alpha`/`beta` (and read only the valid `m x n` region) in their epilogue.
 /// With `upper_only`, register tiles lying strictly below the diagonal are skipped —
-/// the SYRK path, which halves the executed flops for a Gram matrix.
+/// the SYRK path, which halves the executed flops for a Gram matrix.  The row-panel
+/// sweep runs on [`simd_tier`]; the bits do not depend on it.
 pub fn blocked_sums(
     op_a: Op,
     a: &Matrix,
@@ -203,6 +291,27 @@ pub fn blocked_sums(
     blocks: BlockSizes,
     upper_only: bool,
 ) -> Vec<f64> {
+    blocked_sums_on(simd_tier(), op_a, a, op_b, b, blocks, upper_only)
+}
+
+/// [`blocked_sums`] with the row-panel sweep pinned to `tier`.
+///
+/// # Panics
+/// Panics if `tier` is [`SimdTier::Avx2`] on a host without AVX2.
+pub(crate) fn blocked_sums_on(
+    tier: SimdTier,
+    op_a: Op,
+    a: &Matrix,
+    op_b: Op,
+    b: &Matrix,
+    blocks: BlockSizes,
+    upper_only: bool,
+) -> Vec<f64> {
+    assert!(
+        tier == SimdTier::Scalar || tier == simd_tier(),
+        "the {} tier is not available on this host",
+        tier.as_str()
+    );
     let blocks = blocks.normalized();
     let m = op_a.rows(a);
     let k = op_a.cols(a);
@@ -226,25 +335,23 @@ pub fn blocked_sums(
             let kcb = blocks.kc.min(k - pc);
             pack_a_panels(a, op_a, m, pc, kcb, &mut apack[..pm * kcb]);
             pack_b_panels(b, op_b, n, pc, kcb, jc, &mut bpack[..ncb * kcb]);
-            let apack = &apack[..pm * kcb];
-            let bpack = &bpack[..ncb * kcb];
+            let block = PackedBlock {
+                apack: &apack[..pm * kcb],
+                bpack: &bpack[..ncb * kcb],
+                kc: kcb,
+                jc,
+                ncb,
+                upper_only,
+            };
             // One parallel sweep per (jc, pc) block: tasks own disjoint row panels, and
             // the serial pc loop keeps every element's partial applied in ascending k.
             acc.par_chunks_mut(MR * pn)
                 .enumerate()
-                .for_each(|(p, chunk)| {
-                    let ap = &apack[p * MR * kcb..(p + 1) * MR * kcb];
-                    for q in 0..ncb / NR {
-                        let jcol = jc + q * NR;
-                        // SYRK: skip tiles whose every element is strictly below the
-                        // diagonal (the epilogue mirrors the upper triangle instead).
-                        if upper_only && p * MR > jcol + NR - 1 {
-                            continue;
-                        }
-                        let bp = &bpack[q * NR * kcb..(q + 1) * NR * kcb];
-                        let tile = &mut chunk[jcol * MR..jcol * MR + MR * NR];
-                        microkernel::<false>(kcb, ap, bp, tile);
-                    }
+                .for_each(|(p, chunk)| match tier {
+                    // SAFETY: `blocked_sums_on` asserted that this host reports AVX2.
+                    #[cfg(target_arch = "x86_64")]
+                    SimdTier::Avx2 => unsafe { sweep_row_panel_avx2(&block, p, chunk) },
+                    _ => sweep_row_panel(&block, p, chunk),
                 });
             pc += kcb;
         }
@@ -338,6 +445,73 @@ mod tests {
                     .all(|(x, y)| x.to_bits() == y.to_bits()),
                 "bits changed under {blocks:?}"
             );
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn op_of(flag: u8) -> Op {
+            if flag == 1 {
+                Op::Trans
+            } else {
+                Op::NoTrans
+            }
+        }
+
+        fn layout_of(flag: u8) -> Layout {
+            if flag == 1 {
+                Layout::RowMajor
+            } else {
+                Layout::ColMajor
+            }
+        }
+
+        fn bits(values: &[f64]) -> Vec<u64> {
+            values.iter().map(|v| v.to_bits()).collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// The AVX2 sweep produces the scalar sweep's bits for every shape (empty,
+            /// single and ragged against MR/NR), operand layout and op, the SYRK
+            /// triangle, and block size.  On a host without AVX2 both runs take the
+            /// scalar tier and the property holds trivially.
+            #[test]
+            fn prop_avx2_sweep_is_bitwise_scalar(
+                m in 0usize..41,
+                k in 0usize..300,
+                n in 0usize..41,
+                ta in 0u8..2,
+                tb in 0u8..2,
+                la in 0u8..2,
+                lb in 0u8..2,
+                upper in 0u8..2,
+                kc in 1usize..300,
+                nc in 1usize..64,
+                seed in 0u64..1000,
+            ) {
+                let (op_a, op_b) = (op_of(ta), op_of(tb));
+                let (ar, ac) = if op_a == Op::Trans { (k, m) } else { (m, k) };
+                let (br, bc) = if op_b == Op::Trans { (n, k) } else { (k, n) };
+                let a = Matrix::random_gaussian(ar, ac, layout_of(la), seed, 0);
+                let b = Matrix::random_gaussian(br, bc, layout_of(lb), seed, 1);
+                let upper_only = upper == 1;
+                let tier = simd_tier();
+                for blocks in [BlockSizes::default(), BlockSizes { kc, nc }] {
+                    let scalar =
+                        blocked_sums_on(SimdTier::Scalar, op_a, &a, op_b, &b, blocks, upper_only);
+                    let dispatched = blocked_sums_on(tier, op_a, &a, op_b, &b, blocks, upper_only);
+                    prop_assert_eq!(
+                        bits(&scalar),
+                        bits(&dispatched),
+                        "{} sweep drifted from scalar at {}x{}x{} under {:?}",
+                        tier.as_str(), m, k, n, blocks
+                    );
+                }
+            }
         }
     }
 }

@@ -10,6 +10,7 @@ use crate::blas1::nrm2_unrecorded;
 use crate::blas2::{trsv, Triangle};
 use crate::error::{dim_err, LaError};
 use crate::matrix::{Layout, Matrix, Op};
+use rayon::prelude::*;
 use sketch_gpu_sim::{Device, KernelCost};
 
 /// The compact Householder QR factorisation of an `m x n` matrix (`m >= n`).
@@ -203,18 +204,22 @@ impl QrFactors {
     }
 
     /// Materialise the thin orthogonal factor `Q` (`m x n`).
+    ///
+    /// Column `j` is `H_0 ... H_{n-1} e_j`, built in place with the reflectors applied
+    /// in descending order; the columns are independent and are built in parallel.
     pub fn q_thin(&self, device: &Device) -> Matrix {
         let m = self.nrows();
         let n = self.ncols();
         let mut q = Matrix::zeros(m, n);
-        for j in 0..n {
-            let mut e = vec![0.0; m];
-            e[j] = 1.0;
-            for k in (0..n).rev() {
-                self.apply_reflector(k, &mut e);
-            }
-            q.col_mut(j).expect("col-major").copy_from_slice(&e);
-        }
+        q.as_mut_slice()
+            .par_chunks_mut(m.max(1))
+            .enumerate()
+            .for_each(|(j, col)| {
+                col[j] = 1.0;
+                for k in (0..n).rev() {
+                    self.apply_reflector(k, col);
+                }
+            });
         let (m64, n64) = (m as u64, n as u64);
         device.record(KernelCost::new(
             KernelCost::f64_bytes(m64 * n64),
@@ -267,6 +272,25 @@ mod tests {
         let (q, r) = economy_qr(&d, &a).unwrap();
         let qr = gemm(&d, 1.0, &q, &r, 0.0, None).unwrap();
         assert_close(&qr, &a, 1e-10);
+    }
+
+    #[test]
+    fn q_thin_bits_do_not_depend_on_thread_count() {
+        let d = device();
+        let a = Matrix::random_gaussian(300, 24, Layout::ColMajor, 4, 0);
+        let f = geqrf(&d, &a).unwrap();
+        let q_at = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool builds");
+            let q = pool.install(|| f.q_thin(&d));
+            q.as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<u64>>()
+        };
+        assert_eq!(q_at(1), q_at(2));
     }
 
     #[test]

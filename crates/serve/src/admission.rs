@@ -12,8 +12,12 @@
 //! ([`JobSpec::sketch_output_bytes`], [`JobSpec::modelled_flops`]): admission
 //! is decided *before* any operand is materialised, and an operand recipe too
 //! large to materialise at all is refused first
-//! ([`RejectReason::OperandTooLarge`]), as is a sparse operand whose indices
-//! cannot be drawn ([`RejectReason::SparseShapeOutOfRange`]).
+//! ([`RejectReason::OperandTooLarge`]), as is one no device of the pool could
+//! hold ([`RejectReason::OperandExceedsDeviceMemory`]) and a sparse operand
+//! whose indices cannot be drawn ([`RejectReason::SparseShapeOutOfRange`]).
+//! The device-memory rule holds whatever the tenant's limits say, so the
+//! unlimited default cannot admit an operand whose allocation would abort the
+//! process.
 
 use crate::error::{RejectReason, ServeError};
 use crate::job::JobSpec;
@@ -171,7 +175,8 @@ impl AdmissionController {
     }
 
     /// Decide whether `job` may enter the queue, given how many of the
-    /// tenant's jobs are already in flight (admitted but not completed).
+    /// tenant's jobs are already in flight (admitted but not completed) and
+    /// the memory in bytes of the pool's largest device.
     ///
     /// Returns the limits that were checked on success, and a typed
     /// [`ServeError::Rejected`] naming the first violated budget otherwise.
@@ -179,16 +184,23 @@ impl AdmissionController {
         &self,
         job: &JobSpec,
         tenant_in_flight: usize,
+        device_memory: u64,
     ) -> Result<TenantLimits, ServeError> {
         let limits = self.limits_for(&job.tenant);
         let reject = |reason: RejectReason| ServeError::Rejected {
             tenant: job.tenant.clone(),
             reason,
         };
-        if job.operand.largest_allocation().is_none() {
+        let Some(bytes) = job.operand.largest_allocation() else {
             return Err(reject(RejectReason::OperandTooLarge {
                 rows: job.operand.rows(),
                 cols: job.operand.cols(),
+            }));
+        };
+        if bytes as u64 > device_memory {
+            return Err(reject(RejectReason::OperandExceedsDeviceMemory {
+                bytes: bytes as u64,
+                capacity: device_memory,
             }));
         }
         if !job.operand.indices_in_range() {
@@ -241,15 +253,15 @@ mod tests {
     #[test]
     fn unlimited_default_admits_everything() {
         let ctl = AdmissionController::new();
-        assert!(ctl.admit(&job("anyone"), 1_000_000).is_ok());
+        assert!(ctl.admit(&job("anyone"), 1_000_000, u64::MAX).is_ok());
     }
 
     #[test]
     fn in_flight_limit_rejects_typed() {
         let ctl = AdmissionController::new()
             .with_default(TenantLimits::unlimited().with_max_in_flight(2));
-        assert!(ctl.admit(&job("t"), 1).is_ok());
-        match ctl.admit(&job("t"), 2).unwrap_err() {
+        assert!(ctl.admit(&job("t"), 1, u64::MAX).is_ok());
+        match ctl.admit(&job("t"), 2, u64::MAX).unwrap_err() {
             ServeError::Rejected { reason, .. } => {
                 assert_eq!(reason, RejectReason::TooManyInFlight { limit: 2 });
             }
@@ -267,7 +279,7 @@ mod tests {
             TenantLimits::unlimited().with_max_sketch_bytes(bytes - 1),
         );
         assert_eq!(
-            match ctl.admit(&j, 0).unwrap_err() {
+            match ctl.admit(&j, 0, u64::MAX).unwrap_err() {
                 ServeError::Rejected { reason, .. } => reason.as_str(),
                 _ => panic!(),
             },
@@ -278,7 +290,7 @@ mod tests {
             TenantLimits::unlimited().with_max_modelled_flops(flops - 1),
         );
         assert_eq!(
-            match ctl.admit(&j, 0).unwrap_err() {
+            match ctl.admit(&j, 0, u64::MAX).unwrap_err() {
                 ServeError::Rejected { reason, .. } => reason.as_str(),
                 _ => panic!(),
             },
@@ -291,15 +303,42 @@ mod tests {
                 .with_max_sketch_bytes(bytes)
                 .with_max_modelled_flops(flops),
         );
-        assert!(ctl.admit(&j, 0).is_ok());
+        assert!(ctl.admit(&j, 0, u64::MAX).is_ok());
+    }
+
+    #[test]
+    fn an_operand_no_device_can_hold_is_rejected_typed() {
+        let ctl = AdmissionController::new();
+        let mut j = job("t");
+        j.operand = OperandSpec::Dense {
+            rows: 16,
+            cols: 4_000_000_000,
+            seed: 1,
+        };
+        let bytes = 16 * 4_000_000_000 * 8;
+        match ctl.admit(&j, 0, bytes - 1).unwrap_err() {
+            ServeError::Rejected { reason, .. } => assert_eq!(
+                reason,
+                RejectReason::OperandExceedsDeviceMemory {
+                    bytes,
+                    capacity: bytes - 1
+                }
+            ),
+            other => panic!("expected rejection, got {other:?}"),
+        }
+        // An operand exactly the size of the device is admitted.
+        let small = job("t");
+        let bytes = 512 * 6 * 8;
+        assert!(ctl.admit(&small, 0, bytes).is_ok());
+        assert!(ctl.admit(&small, 0, bytes - 1).is_err());
     }
 
     #[test]
     fn overrides_only_touch_their_tenant() {
         let ctl = AdmissionController::new()
             .with_tenant("capped", TenantLimits::unlimited().with_max_in_flight(0));
-        assert!(ctl.admit(&job("capped"), 0).is_err());
-        assert!(ctl.admit(&job("free"), 0).is_ok());
+        assert!(ctl.admit(&job("capped"), 0, u64::MAX).is_err());
+        assert!(ctl.admit(&job("free"), 0, u64::MAX).is_ok());
         assert_eq!(ctl.limits_for("capped").max_in_flight, 0);
         assert_eq!(ctl.limits_for("free"), TenantLimits::unlimited());
     }

@@ -96,7 +96,7 @@ fn run(args: &Args) -> Result<(), String> {
     let text = std::fs::read_to_string(&args.jobs)
         .map_err(|e| format!("cannot read {}: {e}", args.jobs.display()))?;
     let file = JobFile::from_json(&text).map_err(|e| e.to_string())?;
-    let pool = DevicePool::unlimited(args.devices);
+    let pool = DevicePool::h100(args.devices);
     let mut engine = ServeEngine::new(&pool, file.admission(), file.queue_capacity);
     for job in file.jobs {
         // Rejections are part of the service record, not a driver failure.

@@ -260,9 +260,16 @@ impl<'p> ServeEngine<'p> {
     pub fn submit(&mut self, job: JobSpec) -> Result<u64, ServeError> {
         let tenant = job.tenant.clone();
         let in_flight = self.queue.queued_for(&tenant);
+        let device_memory = self
+            .pool
+            .devices()
+            .iter()
+            .map(|d| d.spec().memory_bytes)
+            .max()
+            .unwrap_or(0);
         let result = self
             .admission
-            .admit(&job, in_flight)
+            .admit(&job, in_flight, device_memory)
             .and_then(|_| self.queue.push(job));
         if let Err(ServeError::Rejected { tenant, reason }) = &result {
             *self

@@ -29,6 +29,14 @@ pub enum RejectReason {
         /// Operand columns asked for.
         cols: usize,
     },
+    /// The operand's largest buffer is bigger than the memory of every device in
+    /// the pool, so no device could hold it.
+    OperandExceedsDeviceMemory {
+        /// Bytes of the operand's largest buffer.
+        bytes: u64,
+        /// Memory of the pool's largest device, in bytes.
+        capacity: u64,
+    },
     /// A sparse operand's row or column count is outside `1..=u32::MAX`, the
     /// range its uniform index draws cover.
     SparseShapeOutOfRange {
@@ -74,6 +82,7 @@ impl RejectReason {
             RejectReason::QueueFull { .. } => "queue_full",
             RejectReason::TooManyInFlight { .. } => "too_many_in_flight",
             RejectReason::OperandTooLarge { .. } => "operand_too_large",
+            RejectReason::OperandExceedsDeviceMemory { .. } => "operand_exceeds_device_memory",
             RejectReason::SparseShapeOutOfRange { .. } => "sparse_shape_out_of_range",
             RejectReason::SketchBytesExceeded { .. } => "sketch_bytes_exceeded",
             RejectReason::FlopsExceeded { .. } => "flops_exceeded",
@@ -95,6 +104,10 @@ impl std::fmt::Display for RejectReason {
             RejectReason::OperandTooLarge { rows, cols } => {
                 write!(f, "a {rows} x {cols} operand is too large to materialise")
             }
+            RejectReason::OperandExceedsDeviceMemory { bytes, capacity } => write!(
+                f,
+                "a {bytes}-byte operand buffer exceeds the {capacity}-byte device memory"
+            ),
             RejectReason::SparseShapeOutOfRange { rows, cols } => write!(
                 f,
                 "a {rows} x {cols} sparse operand needs both dimensions in 1..={}",

@@ -176,11 +176,13 @@ fn a_failing_job_fails_alone_and_the_batch_runs_on() {
 #[test]
 fn an_operand_too_large_to_materialise_is_rejected_at_submit() {
     // The middle job asks for an operand `materialize` cannot build: a
-    // u64::MAX x 8 dense one, whose byte size overflows, or a sparse one whose
-    // indices the uniform sampler cannot draw (zero columns, or more than
-    // u32::MAX rows or columns).  Admission must refuse it with a typed reason
-    // before anything is allocated; its neighbours run with the bits they
-    // produce alone.
+    // u64::MAX x 8 dense one, whose byte size overflows, a 16 x 4e9 dense one
+    // (512 GB: a valid allocation size, but larger than any H100's 80 GiB),
+    // or a sparse one whose indices the uniform sampler cannot draw (zero
+    // columns, or more than u32::MAX rows or columns).  Admission must refuse
+    // it with a typed reason before anything is allocated, with every tenant
+    // limit left at its unlimited default; its neighbours run with the bits
+    // they produce alone.
     let csr = |rows: usize, cols: usize| {
         let operand = format!(
             r#"{{"csr": {{"rows": {rows}, "cols": {cols}, "nnz_target": 64, "seed": 2}}}}"#
@@ -194,9 +196,17 @@ fn an_operand_too_large_to_materialise_is_rejected_at_submit() {
             cols: 8,
         },
     );
+    let beyond_device = (
+        r#"{"dense": {"rows": 16, "cols": 4000000000, "seed": 2}}"#.to_string(),
+        RejectReason::OperandExceedsDeviceMemory {
+            bytes: 16 * 4_000_000_000 * 8,
+            capacity: 80 << 30,
+        },
+    );
     let past_u32 = u32::MAX as usize + 1;
     let cases = [
         too_large,
+        beyond_device,
         csr(1024, 0),
         csr(past_u32, 8),
         csr(1024, past_u32),
@@ -218,7 +228,7 @@ fn an_operand_too_large_to_materialise_is_rejected_at_submit() {
             job("bob", &dense(3), 3),
         );
         let file = JobFile::from_json(&text).expect("the job file parses");
-        let pool = DevicePool::unlimited(2);
+        let pool = DevicePool::h100(2);
         let mut engine = ServeEngine::new(&pool, file.admission(), file.queue_capacity);
         let outcomes: Vec<_> = file
             .jobs

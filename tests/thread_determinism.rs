@@ -14,7 +14,7 @@
 
 use gpu_countsketch::dist::{pipelined_sketch, ExecutorOptions};
 use gpu_countsketch::gpu::{Device, DevicePool};
-use gpu_countsketch::la::{blas3, Layout, Matrix};
+use gpu_countsketch::la::{blas3, qr, Layout, Matrix};
 use gpu_countsketch::lowrank::{range_finder, LowRankParams, RangeSketch};
 use gpu_countsketch::lsq::{sketch_and_solve, LsqProblem};
 use gpu_countsketch::sketch::{fwht, EmbeddingDim, Operand, Pipeline, SketchSpec};
@@ -117,6 +117,13 @@ fn gemm_is_thread_count_invariant() {
         let device = Device::unlimited();
         bits(&blas3::gemm(&device, 1.5, &a, &b, -0.5, Some(&c)).expect("gemm succeeds"))
     });
+}
+
+#[test]
+fn q_thin_is_thread_count_invariant() {
+    let device = Device::unlimited();
+    let factors = qr::geqrf(&device, &odd_operand()).expect("a tall operand factors");
+    assert_identical_across_threads("q_thin", || bits(&factors.q_thin(&device)));
 }
 
 #[test]
